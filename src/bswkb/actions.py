@@ -2,7 +2,7 @@
 
 All loop integrals are taken in the time parameterization (periodic trapezoid
 on equispaced samples, spectrally accurate for smooth loops); E-derivatives
-are central differences over a stencil of orbits with one Richardson level.
+in S2 are Gelfand-Leray derivatives on the one orbit at E (loop_dE_dt).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class LoopIntegrals:
     I_p1: float     # loop p1 dt
     I_p2: float     # loop p2 dt
     I_p1sq: float   # loop p1^2 dt
-    I_Gamma: float  # loop Gamma dt
     period: float
 
 
@@ -53,7 +52,6 @@ class ActionSeries:
     S0: float
     S1: float
     S2: float
-    d_step: float
     calibration: SignCalibration
     loops: LoopIntegrals
 
@@ -135,18 +133,18 @@ def dE_derivative(f, E: float, order: int, d_step: float | None = None,
     return value
 
 
-class _OrbitCache:
-    def __init__(self, model: SymbolModel, n_samples: int):
-        self.model = model
-        self.n_samples = n_samples
-        self._cache: dict[float, Orbit] = {}
+def loop_dE_dt(model: SymbolModel, orbit: Orbit, f, f_x, f_xi) -> float:
+    """d/dE loop(f dt) from f, f_x, f_xi on the samples of the orbit at E.
 
-    def __call__(self, E: float) -> Orbit:
-        orb = self._cache.get(E)
-        if orb is None:
-            orb = find_orbit(self.model, E, n_samples=self.n_samples)
-            self._cache[E] = orb
-        return orb
+    Equals loop(div(f Y) dt) with Y = grad p0 / |grad p0|^2, which carries the
+    level set p0 = E to p0 = E + dE in unit time (divergence theorem).
+    """
+    p = lambda i, j: model.eval_partial_array(0, i, j, orbit.x, orbit.xi)
+    px, pxi, pxx, pxxi, pxixi = p(1, 0), p(0, 1), p(2, 0), p(1, 1), p(0, 2)
+    g = px * px + pxi * pxi
+    div_Y = (pxx + pxixi - 2.0 * (px * px * pxx + 2.0 * px * pxi * pxxi
+                                  + pxi * pxi * pxixi) / g) / g
+    return orbit.period * float(((f_x * px + f_xi * pxi) / g + f * div_Y).mean())
 
 
 def loop_integrals(model: SymbolModel, orbit: Orbit) -> LoopIntegrals:
@@ -156,37 +154,36 @@ def loop_integrals(model: SymbolModel, orbit: Orbit) -> LoopIntegrals:
         I_p1=loop_integral_dt(orbit, lambda x, xi: pa(1, 0, 0, x, xi)),
         I_p2=loop_integral_dt(orbit, lambda x, xi: pa(2, 0, 0, x, xi)),
         I_p1sq=loop_integral_dt(orbit, lambda x, xi: pa(1, 0, 0, x, xi) ** 2),
-        I_Gamma=loop_integral_dt(orbit, lambda x, xi: gamma_density(model, x, xi)),
         period=orbit.period,
     )
 
 
 def action_series(model: SymbolModel, E: float,
                   cal: SignCalibration = DEFAULT_CALIBRATION,
-                  n_samples: int = 1024, d_step: float | None = None) -> ActionSeries:
-    """S0, S1, S2 at energy E with the calibrated h^2 assembly.
+                  n_samples: int = 1024) -> ActionSeries:
+    """S0, S1, S2 at energy E with the calibrated h^2 assembly, on one orbit.
 
-    S1 = -loop(p1 dt); S2 combines (1/48)(d/dE)^2 loop(Gamma dt),
-    (1/2)(d/dE) loop(p1^2 dt) and loop(p2 dt) with the calibration signs.
+    S1 = -loop(p1 dt); S2 combines (1/24)(d/dE) loop(Delta dt), Delta =
+    p_xx p_xixi - p_xxi^2 (equal to (1/48)(d/dE)^2 loop(Gamma dt), the form of
+    Colin de Verdiere, Ann. Henri Poincare 6, 2005), (1/2)(d/dE) loop(p1^2 dt)
+    and loop(p2 dt) with the calibration signs.
     """
-    orbits = _OrbitCache(model, n_samples)
-    d = d_step if d_step is not None else max(1e-3, 1e-2 * abs(E))
-    loops = loop_integrals(model, orbits(E))
-    pa = model.eval_partial_array
+    orbit = find_orbit(model, E, n_samples=n_samples)
+    loops = loop_integrals(model, orbit)
+    p = lambda level, i, j: model.eval_partial_array(level, i, j, orbit.x, orbit.xi)
+    pxx, pxxi, pxixi, p1 = p(0, 2, 0), p(0, 1, 1), p(0, 0, 2), p(1, 0, 0)
+    pxxx, pxxxi, pxxixi, pxixixi = p(0, 3, 0), p(0, 2, 1), p(0, 1, 2), p(0, 0, 3)
+    d_delta = loop_dE_dt(model, orbit, pxx * pxixi - pxxi ** 2,
+                         pxxx * pxixi + pxx * pxxixi - 2.0 * pxxi * pxxxi,
+                         pxxxi * pxixi + pxx * pxixixi - 2.0 * pxxi * pxxixi)
+    d_p1sq = loop_dE_dt(model, orbit, p1 ** 2,
+                        2.0 * p1 * p(1, 1, 0), 2.0 * p1 * p(1, 0, 1))
 
-    has_p1 = bool(model.term_arrays(1)[0].size)
-    d2_gamma = dE_derivative(
-        lambda e: loop_integral_dt(orbits(e), lambda x, xi: gamma_density(model, x, xi)),
-        E, 2, d_step=d)
-    d1_p1sq = dE_derivative(
-        lambda e: loop_integral_dt(orbits(e), lambda x, xi: pa(1, 0, 0, x, xi) ** 2),
-        E, 1, d_step=d) if has_p1 else 0.0
-
-    S2 = (cal.sigma_Gamma * d2_gamma / 48.0
-          + cal.sigma_p1sq * 0.5 * d1_p1sq
+    S2 = (cal.sigma_Gamma * d_delta / 24.0
+          + cal.sigma_p1sq * 0.5 * d_p1sq
           + cal.sigma_p2 * loops.I_p2)
     return ActionSeries(E=E, S0=loops.S0, S1=-loops.I_p1, S2=S2,
-                        d_step=d, calibration=cal, loops=loops)
+                        calibration=cal, loops=loops)
 
 
 # -- Stokes / period identity --------------------------------------------------
@@ -217,10 +214,8 @@ def stokes_check(model: SymbolModel, E: float, f_terms, g_terms,
     flow orientation the enclosed disk is negatively oriented, hence the
     relative plus sign (fixed by the harmonic f = xi, g = 0 benchmark).
     """
-    orbits = _OrbitCache(model, n_samples)
-
     def loop_form(e: float) -> float:
-        orb = orbits(e)
+        orb = find_orbit(model, e, n_samples=n_samples)
         xdot = _xdot(orb)
         cx, xpx, kpx = orb.pack[0], orb.pack[1], orb.pack[2]
         xidot = np.zeros_like(orb.x)
@@ -233,7 +228,7 @@ def stokes_check(model: SymbolModel, E: float, f_terms, g_terms,
         return orb.period * float((fv * xdot + gv * xidot).mean())
 
     lhs = dE_derivative(loop_form, E, 1)
-    orb = orbits(E)
+    orb = find_orbit(model, E, n_samples=n_samples)
     curl = (poly_terms_eval(g_terms, 1, 0, orb.x, orb.xi)
             - poly_terms_eval(f_terms, 0, 1, orb.x, orb.xi))
     rhs = orb.period * float(curl.mean())

@@ -44,7 +44,7 @@ class SpectrumResult:
 
 
 class BSSolver:
-    """Caches orbits/action evaluations for one (model, h, order, cal)."""
+    """Caches action evaluations S(E) for one (model, h, order, cal)."""
 
     def __init__(self, model: SymbolModel, h: float, order: int = 2,
                  cal: SignCalibration = DEFAULT_CALIBRATION, n_samples: int = 1024):

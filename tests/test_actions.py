@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from bswkb.actions import (action_S0, action_series,
-                           dE_derivative, gamma_density, loop_integral_dt,
+                           dE_derivative, gamma_density, loop_dE_dt,
+                           loop_integral_dt,
                            poly_terms_eval, stokes_check)
 from bswkb.orbits import find_orbit
 from bswkb.symbols import make_model
@@ -174,3 +175,46 @@ def test_dS0_dE_equals_period(family, params, energies):
         T = find_orbit(model, E, n_samples=1024).period
         dS = dE_derivative(S0, E, 1)
         assert dS == pytest.approx(T, rel=1e-6)
+
+
+WELLS = {"A": 4.0, "a": 1.0}
+P1 = [[0.7, 1, 0]]
+
+
+@pytest.fixture(params=[
+    pytest.param((make_model("quartic-well", p1=P1), 1.0), id="quartic"),
+    pytest.param((make_model("morse", p1=P1, params=WELLS), -2.0), id="morse"),
+    pytest.param((make_model("poschl-teller", p1=P1, params=WELLS), -2.0),
+                 id="poschl-teller"),
+    pytest.param((make_model("polynomial", p1=P1, p0=[[1.0, 0, 2], [1.0, 2, 0],
+                                                      [0.5, 3, 0], [1.0, 4, 0]]),
+                  1.0), id="cubic-quartic"),
+])
+def well_at_E(request):
+    model, E = request.param
+    orbit = lambda e: find_orbit(model, e, n_samples=1024)
+    return model, E, orbit
+
+
+def test_dE_loop_gamma_equals_twice_loop_hessian_det(well_at_E):
+    """d/dE loop(Gamma dt) = 2 loop(Delta dt), Delta = p_xx p_xixi - p_xxi^2."""
+    model, E, orbit = well_at_E
+    pa = model.eval_partial_array
+    delta = lambda x, xi: (pa(0, 2, 0, x, xi) * pa(0, 0, 2, x, xi)
+                           - pa(0, 1, 1, x, xi) ** 2)
+    lhs = dE_derivative(lambda e: loop_integral_dt(
+        orbit(e), lambda x, xi: gamma_density(model, x, xi)), E, 1)
+    assert lhs == pytest.approx(2.0 * loop_integral_dt(orbit(E), delta), rel=1e-7)
+
+
+def test_dE_loop_p1sq_equals_loop_divergence(well_at_E):
+    """d/dE loop(p1^2 dt) = loop(div(p1^2 Y) dt), against the orbit stencil."""
+    model, E, orbit = well_at_E
+    pa = model.eval_partial_array
+    p1sq = lambda x, xi: pa(1, 0, 0, x, xi) ** 2
+    lhs = dE_derivative(lambda e: loop_integral_dt(orbit(e), p1sq), E, 1)
+    o = orbit(E)
+    p1 = pa(1, 0, 0, o.x, o.xi)
+    rhs = loop_dE_dt(model, o, p1 ** 2, 2.0 * p1 * pa(1, 1, 0, o.x, o.xi),
+                     2.0 * p1 * pa(1, 0, 1, o.x, o.xi))
+    assert lhs == pytest.approx(rhs, rel=1e-7)

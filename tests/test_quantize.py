@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -98,6 +99,49 @@ def test_order_dominance_vs_oracle():
     tol = orc.error_estimates.max()
     assert errs[2] <= errs[1] + tol
     assert errs[1] <= errs[0] + tol
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("family,exact,tol", [
+    pytest.param("morse", lambda h, n: -(2.0 - h * (n + 0.5)) ** 2,
+                 lambda h: 1e-10, id="morse"),
+    # order 2 leaves the O(h^4) remainder of the exact Poschl-Teller levels
+    pytest.param("poschl-teller",
+                 lambda h, n: -(math.sqrt(4.0 + h * h / 4) - h * (n + 0.5)) ** 2,
+                 lambda h: 1e-2 * h ** 4, id="poschl-teller"),
+])
+def test_order2_exact_wells(family, exact, tol, h):
+    """Order-2 levels of the A = 4, a = 1 wells against their closed forms."""
+    s = spectrum(make_model(family, params={"A": 4.0, "a": 1.0}), h, 3, order=2)
+    want = np.array([exact(h, n) for n in range(4)])
+    assert np.abs(s.energies - want).max() < tol(h)
+
+
+def test_order2_near_well_bottom_coarse_h():
+    """Quartic ground state at h = 0.4, within ~0.1 of the well bottom."""
+    from bswkb.oracle import oracle_spectrum
+
+    q = make_model("quartic-well")
+    ref = oracle_spectrum(q, 0.4, 1).eigenvalues[0]
+    e2 = BSSolver(q, 0.4, 2).quantize(0).E
+    assert abs(e2 - ref) < abs(BSSolver(q, 0.4, 0).quantize(0).E - ref)
+
+
+def test_order2_S_integrates_one_orbit(monkeypatch):
+    # by module path: the package attribute `bswkb.quantize` is a function
+    actions, quantize_mod = (importlib.import_module(f"bswkb.{name}")
+                             for name in ("actions", "quantize"))
+    energies = []
+    find_orbit = actions.find_orbit
+
+    def counted(model, E, *args, **kwargs):
+        energies.append(E)
+        return find_orbit(model, E, *args, **kwargs)
+
+    monkeypatch.setattr(actions, "find_orbit", counted)
+    monkeypatch.setattr(quantize_mod, "find_orbit", counted)
+    BSSolver(make_model("quartic-well", p1=[[1.0, 1, 0]]), 0.1, 2).S(1.0)
+    assert energies == [1.0]
 
 
 def test_quantize_level_outside_well():
