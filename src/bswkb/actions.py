@@ -42,7 +42,6 @@ class LoopIntegrals:
     S0: float       # loop xi dx, flow orientation
     I_p1: float     # loop p1 dt
     I_p2: float     # loop p2 dt
-    I_p1sq: float   # loop p1^2 dt
     period: float
 
 
@@ -153,7 +152,6 @@ def loop_integrals(model: SymbolModel, orbit: Orbit) -> LoopIntegrals:
         S0=action_S0(orbit),
         I_p1=loop_integral_dt(orbit, lambda x, xi: pa(1, 0, 0, x, xi)),
         I_p2=loop_integral_dt(orbit, lambda x, xi: pa(2, 0, 0, x, xi)),
-        I_p1sq=loop_integral_dt(orbit, lambda x, xi: pa(1, 0, 0, x, xi) ** 2),
         period=orbit.period,
     )
 

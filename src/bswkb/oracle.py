@@ -1,8 +1,8 @@
 """Reference spectra by direct diagonalization of the Weyl-quantized operator.
 
-Grid discretization with 4th-order stencils and Dirichlet truncation; the
-eigensolve runs on the banded form (LAPACK *sbevx / *hbevx), repeated at N
-and 2N with a Richardson error estimate per eigenvalue.
+4th-order grid stencils with Dirichlet truncation, held only as the upper
+band (3, N): banded LAPACK eigenvalues (*sbevx / *hbevx) and banded inverse
+iteration for the boundary check, at N and 2N with a Richardson estimate.
 """
 
 from __future__ import annotations
@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, solve_banded
 from scipy.optimize import brentq
+from scipy.sparse import dia_matrix
 
 from .symbols import SymbolModel
 
@@ -54,12 +55,13 @@ def _poly_on_grid(pairs, x, deriv=0):
     return out
 
 
-def discretize(model: SymbolModel, h: float, domain, N: int) -> np.ndarray:
-    """Dense Hermitian matrix of P on the interior grid (Dirichlet boundary).
+def _band(model: SymbolModel, h: float, domain, N: int) -> np.ndarray:
+    """Upper band of P on the interior grid, 4th-order stencils, Dirichlet.
 
+    Row 2 - k of the (3, N) array holds diagonal k (``eig_banded(lower=False)``).
     The xi^2 coefficient must be x-independent (true for all supported
     families); degree-1 Weyl terms use the exactly symmetrized form
-    (c hD + hD c)/2 and make the matrix complex Hermitian.
+    (c hD + hD c)/2 and make the band complex Hermitian.
     """
     if model.xi_degree > 2:
         raise OracleError("xi_degree > 2 not quantizable on a grid")
@@ -68,66 +70,73 @@ def discretize(model: SymbolModel, h: float, domain, N: int) -> np.ndarray:
     lo, hi = float(domain[0]), float(domain[1])
     dx = (hi - lo) / (N + 1)
     x = lo + dx * np.arange(1, N + 1)
+    d2 = np.array([-30.0, 16.0, -1.0]) / (12.0 * dx * dx)  # offsets 0, 1, 2
+    d1 = np.array([0.0, 8.0, -1.0]) / (12.0 * dx)
 
-    # 4th-order stencil matrices (ghost nodes beyond the boundary are zero)
-    def banded_from_stencil(offsets, weights):
-        A = np.zeros((N, N))
-        for off, w in zip(offsets, weights):
-            A += w * np.eye(N, k=off)
-        return A
-
-    D2 = banded_from_stencil((-2, -1, 0, 1, 2),
-                             np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx * dx))
-    D1 = banded_from_stencil((-2, -1, 1, 2),
-                             np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dx))
-
-    any_degree1 = False
-    mats = []
-    for level in range(3):
-        cs = _level_coefficients(model, level)
-        M = np.zeros((N, N), dtype=complex)
-        diag = _poly_on_grid(cs[0], x)
+    levels = [_level_coefficients(model, level) for level in range(3)]
+    band = np.zeros((3, N), dtype=complex)
+    for scale, level, cs in zip((1.0, h, h * h), range(3), levels):
+        c0, c1, c2 = (_poly_on_grid(cs[b], x) for b in range(3))
         if level == 0 and model.potential is not None:
-            diag = diag + model.potential.deriv_array(0, x)
-        M += np.diag(diag)
-        if cs[1]:
-            any_degree1 = True
-            c1 = _poly_on_grid(cs[1], x)
-            # (c hD + hD c)/2, exactly Hermitian on the grid
-            M += (-1j * h / 2.0) * (np.diag(c1) @ D1 + D1 @ np.diag(c1))
-        if cs[2]:
-            c2 = _poly_on_grid(cs[2], x)
-            if np.ptp(c2) > 1e-14 * max(1.0, np.abs(c2).max()):
-                raise OracleError("x-dependent xi^2 coefficient unsupported")
-            M += -h * h * float(c2[0]) * D2
-        mats.append(M)
-    A = mats[0] + h * mats[1] + h * h * mats[2]
-    if not any_degree1:
-        A = A.real.copy()
-    return A
+            c0 = c0 + model.potential.deriv_array(0, x)
+        if np.ptp(c2) > 1e-14 * max(1.0, np.abs(c2).max()):
+            raise OracleError("x-dependent xi^2 coefficient unsupported")
+        for k in range(3):
+            # -h^2 c2 D2 and (c1 hD + hD c1)/2 between nodes i and i + k
+            B = -h * h * c2[0] * d2[k] + (-0.5j * h) * (c1[:N - k] * d1[k] + d1[k] * c1[k:])
+            band[2 - k, k:] += scale * (B + c0 if k == 0 else B)
+    return band if any(cs[1] for cs in levels) else band.real.copy()
 
 
-def _lowest_eigs(A: np.ndarray, m: int, vectors: bool = False):
-    """Lowest m eigenvalues via the banded LAPACK driver."""
-    N = A.shape[0]
-    bw = 0
-    for k in range(N - 1, 0, -1):
-        if np.any(np.abs(np.diagonal(A, k)) > 0.0):
-            bw = k
-            break
-    band = np.zeros((bw + 1, N), dtype=A.dtype)
-    for k in range(bw + 1):
-        band[bw - k, k:] = np.diagonal(A, k)
-    out = eig_banded(band, lower=False, eigvals_only=not vectors,
-                     select="i", select_range=(0, m - 1))
-    return out
+def _hermitian_dia(band: np.ndarray) -> dia_matrix:
+    """The operator from its upper band; the data rows (diagonals 2 .. -2)
+    are also the (l, u) = (2, 2) layout of ``solve_banded``."""
+    N = band.shape[1]
+    rows = np.zeros((5, N), dtype=band.dtype)
+    rows[:3] = band
+    rows[3, :-1] = band[1, 1:].conj()
+    rows[4, :-2] = band[0, 2:].conj()
+    return dia_matrix((rows, (2, 1, 0, -1, -2)), shape=(N, N))
+
+
+def discretize(model: SymbolModel, h: float, domain, N: int) -> np.ndarray:
+    """Dense Hermitian matrix of P on the interior grid (Dirichlet boundary).
+
+    The dense view of the band the oracle works on, for tests and users; the
+    lower triangle mirrors the upper one, so A == A^H holds exactly.
+    """
+    return _hermitian_dia(_band(model, h, domain, N)).toarray()
+
+
+def _lowest_eigs(band: np.ndarray, m: int, vectors: bool = False):
+    """Lowest m eigenvalues (ascending) of the banded operator; with
+    ``vectors``, unit eigenvectors by two inverse-iteration steps just below
+    each eigenvalue, checked by their residuals."""
+    vals = eig_banded(band, lower=False, eigvals_only=True,
+                      select="i", select_range=(0, m - 1))
+    if not vectors:
+        return vals
+    A = _hermitian_dia(band)
+    start = np.random.default_rng(0).standard_normal(band.shape[1])
+    vecs = np.empty((band.shape[1], m), dtype=band.dtype)
+    for j, lam in enumerate(vals):
+        shifted = A.data.copy()
+        shifted[2] -= lam - 1e-10 * max(1.0, abs(lam))
+        v = start
+        for _ in range(2):
+            v = solve_banded((2, 2), shifted, v)
+            v /= np.linalg.norm(v)
+        vecs[:, j] = v
+    res = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+    norm_inf = abs(A).sum(axis=1).max()
+    if np.any(res > 1e-10 * norm_inf):
+        raise OracleError(f"inverse iteration residual {res.max():.2e}, ||A|| {norm_inf:.2e}")
+    return vals, vecs
 
 
 def _auto_domain(model: SymbolModel, E_top: float, h: float):
     """Symmetric-ish box: turning points at E_top plus a forbidden margin
     thick enough that the tunneling integral kills boundary mass."""
-    f = lambda x, s: model.eval(0, x, 0.0) - E_top
-
     def outer_root(side):
         x = 1.0 * side
         for _ in range(90):
@@ -182,7 +191,6 @@ def classical_energy_top(model: SymbolModel, h: float, m: int) -> float:
     target = 2.0 * np.pi * h * (m + 1.5)
     E_min = well_minimum(model)
     E = E_min + max(0.5 * h, 1e-4 * max(1.0, abs(E_min)))
-    S_prev = 0.0
     for _ in range(200):
         orb = find_orbit(model, E, n_samples=512)
         S = action_S0(orb)
@@ -190,7 +198,6 @@ def classical_energy_top(model: SymbolModel, h: float, m: int) -> float:
             return E
         step = (E - E_min) * 0.6
         E = E + max(step, 0.05 * h)
-        S_prev = S
     raise OracleError("requested level count outside the well")
 
 
@@ -209,7 +216,7 @@ def well_minimum(model: SymbolModel) -> float:
 
 
 def oracle_spectrum(model: SymbolModel, h: float, m: int, domain=None,
-                    N: int | None = None, check_boundary: bool = True) -> OracleSpectrum:
+                    N: int | None = None) -> OracleSpectrum:
     """Lowest m eigenvalues with N -> 2N Richardson refinement (4th order)."""
     if domain is None or N is None:
         E_top = classical_energy_top(model, h, m)
@@ -218,18 +225,12 @@ def oracle_spectrum(model: SymbolModel, h: float, m: int, domain=None,
         if N is None:
             N = _auto_N(model, E_top, h, domain)
     lo, hi = float(domain[0]), float(domain[1])
-    e_coarse = np.sort(np.real(_lowest_eigs(discretize(model, h, (lo, hi), N), m)))
-    A2 = discretize(model, h, (lo, hi), 2 * N)
-    if check_boundary:
-        vals2, vecs = _lowest_eigs(A2, m, vectors=True)
-        edge = max(8, int(0.05 * 2 * N))
-        mass = (np.abs(vecs[:edge, :]) ** 2).sum(axis=0) + (np.abs(vecs[-edge:, :]) ** 2).sum(axis=0)
-        total = (np.abs(vecs) ** 2).sum(axis=0)
-        if np.any(mass / total > 1e-8):
-            raise OracleError("boundary-truncation check failed: enlarge domain")
-        e_fine = np.sort(np.real(vals2))
-    else:
-        e_fine = np.sort(np.real(_lowest_eigs(A2, m)))
+    e_coarse = _lowest_eigs(_band(model, h, (lo, hi), N), m)
+    e_fine, vecs = _lowest_eigs(_band(model, h, (lo, hi), 2 * N), m, vectors=True)
+    edge = max(8, int(0.05 * 2 * N))
+    mass = (np.abs(vecs[:edge]) ** 2 + np.abs(vecs[-edge:]) ** 2).sum(axis=0)
+    if np.any(mass > 1e-8):  # the vectors are unit vectors
+        raise OracleError("boundary-truncation check failed: enlarge domain")
     extrap = (16.0 * e_fine - e_coarse) / 15.0
     est = np.abs(e_fine - e_coarse) / 15.0
     bad = est > 1e-7 * np.maximum(1.0, np.abs(extrap))

@@ -92,7 +92,9 @@ def test_action_series_linear_p1_default_calibration():
     assert ser.S1 == pytest.approx(0.0, abs=1e-12)
     assert ser.S2 == pytest.approx(math.pi / 4, abs=1e-8)
     assert ser.calibration.sigma_p1sq == +1
-    assert ser.loops.I_p1sq == pytest.approx(math.pi / 2, abs=1e-10)
+    orb = find_orbit(m, 1.0, n_samples=1024)
+    I_p1sq = loop_integral_dt(orb, lambda x, xi: m.eval_partial_array(1, 0, 0, x, xi) ** 2)
+    assert I_p1sq == pytest.approx(math.pi / 2, abs=1e-10)
 
 
 def test_S2_vanishes_harmonic_five_energies():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bswkb.oracle import (OracleError, discretize, oracle_spectrum,
-                          well_minimum)
+from bswkb.oracle import (OracleError, _band, _level_coefficients,
+                          _lowest_eigs, _poly_on_grid, discretize,
+                          oracle_spectrum, well_minimum)
 from bswkb.symbols import make_model
 
 HARMONIC = make_model("harmonic")
@@ -59,13 +60,90 @@ def test_domain_and_grid_invariance():
     spec_wide = oracle_spectrum(HARMONIC, 0.1, 4, domain=wide, N=spec.grid_size)
     assert np.abs(spec.eigenvalues - spec_wide.eigenvalues).max() < 1e-8
     spec_fine = oracle_spectrum(HARMONIC, 0.1, 4, domain=spec.domain,
-                                N=2 * spec.grid_size, check_boundary=False)
+                                N=2 * spec.grid_size)
     assert np.abs(spec.eigenvalues - spec_fine.eigenvalues).max() < 1e-8
+
+
+def test_boundary_guard():
+    """A box that clips the low harmonic states fails the truncation check."""
+    with pytest.raises(OracleError, match="boundary-truncation"):
+        oracle_spectrum(HARMONIC, 0.1, 4, domain=(-1.5, 1.5), N=256)
+    oracle_spectrum(HARMONIC, 0.1, 4, domain=(-1.8, 1.8), N=256)
+
+
+def _dense_stencils(model, h, domain, N):
+    """Reference: P from dense N x N stencil matrices, one matrix per level,
+    summed as M0 + h M1 + h^2 M2."""
+    lo, hi = domain
+    dx = (hi - lo) / (N + 1)
+    x = lo + dx * np.arange(1, N + 1)
+
+    def stencil(offsets, weights):
+        A = np.zeros((N, N))
+        for off, w in zip(offsets, weights):
+            A += w * np.eye(N, k=off)
+        return A
+
+    D2 = stencil((-2, -1, 0, 1, 2),
+                 np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx * dx))
+    D1 = stencil((-2, -1, 1, 2), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dx))
+    any_degree1 = False
+    mats = []
+    for level in range(3):
+        cs = _level_coefficients(model, level)
+        M = np.zeros((N, N), dtype=complex)
+        diag = _poly_on_grid(cs[0], x)
+        if level == 0 and model.potential is not None:
+            diag = diag + model.potential.deriv_array(0, x)
+        M += np.diag(diag)
+        if cs[1]:
+            any_degree1 = True
+            c1 = _poly_on_grid(cs[1], x)
+            M += (-1j * h / 2.0) * (np.diag(c1) @ D1 + D1 @ np.diag(c1))
+        if cs[2]:
+            M += -h * h * float(_poly_on_grid(cs[2], x)[0]) * D2
+        mats.append(M)
+    A = mats[0] + h * mats[1] + h * h * mats[2]
+    return A if any_degree1 else A.real.copy()
+
+
+@pytest.mark.parametrize("family,kw", [
+    ("harmonic", dict(p1=[[1.0, 0, 1]])),
+    ("quartic-well", dict(p1=[[1.0, 1, 0]])),
+    ("morse", dict(p1=[[0.3, 1, 1]], p2=[[0.2, 0, 2], [0.5, 2, 0]])),
+])
+def test_band_matches_dense_stencils(family, kw):
+    """The band holds the dense stencil operator's diagonals bit for bit."""
+    m = make_model(family, **kw)
+    args = (m, 0.1, (-2.5, 2.5), 256)
+    band, ref = _band(*args), _dense_stencils(*args)
+    assert band.dtype == ref.dtype
+    for k in range(3):
+        assert np.array_equal(band[2 - k, k:], np.diagonal(ref, k))
+    dense = discretize(*args)
+    assert dense.dtype == ref.dtype and np.array_equal(dense, ref)
+    assert not np.any(np.triu(ref, 3)) and not np.any(np.tril(ref, -3))
+
+
+def test_inverse_iteration_matches_dense_eigh():
+    m = make_model("quartic-well", p1=[[1.0, 0, 1]])
+    args = (m, 0.1, (-2.5, 2.5), 256)
+    vals, vecs = _lowest_eigs(_band(*args), 5, vectors=True)
+    w, V = np.linalg.eigh(discretize(*args))
+    assert np.abs(vals - w[:5]).max() <= 1e-12
+    overlap = np.abs(np.sum(vecs.conj() * V[:, :5], axis=0))
+    assert np.abs(overlap - 1.0).max() <= 1e-10
 
 
 def test_xi_degree_gate():
     m = make_model("harmonic", p1=[[1.0, 0, 3]])
     with pytest.raises(OracleError):
+        discretize(m, 0.1, (-3, 3), 128)
+
+
+def test_x_dependent_xi2_rejected():
+    m = make_model("polynomial", p0=[[1.0, 0, 2], [0.5, 2, 2], [1.0, 2, 0]])
+    with pytest.raises(OracleError, match="x-dependent"):
         discretize(m, 0.1, (-3, 3), 128)
 
 

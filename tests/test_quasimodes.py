@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bswkb.oracle import discretize, _lowest_eigs
+from bswkb.oracle import _band, _lowest_eigs
 from bswkb.orbits import find_orbit
 from bswkb.quasimodes import (QuasimodeError, apply_operator, branch_xi,
                               build_wkb, phase_S, residual_norm)
@@ -145,8 +145,7 @@ def test_residual_oracle_eigenvector():
     h = 0.1
     N = 2048
     dom = (-3.0, 3.0)
-    A = discretize(HARMONIC, h, dom, N)
-    vals, vecs = _lowest_eigs(A, 3, vectors=True)
+    vals, vecs = _lowest_eigs(_band(HARMONIC, h, dom, N), 3, vectors=True)
     x = np.linspace(dom[0], dom[1], N + 2)[1:-1]
     u = vecs[:, 2].astype(complex)
     xin, pu = apply_operator(HARMONIC, h, u, x)
