@@ -9,7 +9,7 @@ from .charts import (ChartError, FourierChart, SpatialChart, chart_overlap_check
                      D1_fourier, D1_spatial, T1_density, eikonal_fourier,
                      eikonal_spatial, transport_b0)
 from .oracle import OracleError, OracleSpectrum, discretize, oracle_spectrum
-from .orbits import Orbit, OrbitError, find_orbit, focal_points, integrate_flow
+from .orbits import Orbit, OrbitError, find_orbit, integrate_flow
 from .quantize import (BSSolver, CalibrationError, QuantizeError, SpectrumResult,
                        bs_function, calibrate_signs, gram_determinant, quantize,
                        spectrum)
@@ -26,7 +26,7 @@ __all__ = [
     "T1_density", "action_S0", "action_series", "apply_operator", "branch_xi",
     "bs_function", "build_wkb", "calibrate_signs", "chart_overlap_check",
     "dE_derivative", "discretize", "eikonal_fourier", "eikonal_spatial",
-    "find_orbit", "focal_points", "gamma_density", "gram_determinant",
+    "find_orbit", "gamma_density", "gram_determinant",
     "integrate_flow", "loop_integral_dt", "make_model", "oracle_spectrum",
     "parse_symbol_config", "phase_S", "quantize", "residual_norm", "spectrum",
     "stokes_check", "transport_b0",

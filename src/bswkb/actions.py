@@ -79,18 +79,10 @@ def loop_integral_dt(orbit: Orbit, integrand, with_error: bool = False):
     return full, abs(full - half)
 
 
-def _xdot(orbit: Orbit) -> np.ndarray:
-    # d_xi p0 from the packed derivative monomials (potential has no xi part)
-    cxi, xpxi, kpxi = orbit.pack[3], orbit.pack[4], orbit.pack[5]
-    out = np.zeros_like(orbit.x)
-    for c, a, b in zip(cxi, xpxi, kpxi):
-        out += c * orbit.x ** int(a) * orbit.xi ** int(b)
-    return out
-
-
 def action_S0(orbit: Orbit) -> float:
     """Principal action: loop xi dx = loop xi * xdot dt (no turning singularity)."""
-    return orbit.period * float((orbit.xi * _xdot(orbit)).mean())
+    xdot = orbit.model.eval_partial_array(0, 0, 1, orbit.x, orbit.xi)
+    return orbit.period * float((orbit.xi * xdot).mean())
 
 
 def gamma_density(model: SymbolModel, x, xi):
@@ -214,13 +206,8 @@ def stokes_check(model: SymbolModel, E: float, f_terms, g_terms,
     """
     def loop_form(e: float) -> float:
         orb = find_orbit(model, e, n_samples=n_samples)
-        xdot = _xdot(orb)
-        cx, xpx, kpx = orb.pack[0], orb.pack[1], orb.pack[2]
-        xidot = np.zeros_like(orb.x)
-        for c, a, b in zip(cx, xpx, kpx):
-            xidot -= c * orb.x ** int(a) * orb.xi ** int(b)
-        if model.potential is not None:
-            xidot -= model.potential.deriv_array(1, orb.x)
+        xdot = model.eval_partial_array(0, 0, 1, orb.x, orb.xi)
+        xidot = -model.eval_partial_array(0, 1, 0, orb.x, orb.xi)
         fv = poly_terms_eval(f_terms, 0, 0, orb.x, orb.xi)
         gv = poly_terms_eval(g_terms, 0, 0, orb.x, orb.xi)
         return orb.period * float((fv * xdot + gv * xidot).mean())

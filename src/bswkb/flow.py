@@ -38,6 +38,8 @@ STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 STATUS_NO_RETURN = 2
 STATUS_MAX_STEPS = 3
+STATUS_NAMES = {STATUS_OK: "ok", STATUS_STEP_UNDERFLOW: "step size underflow",
+                STATUS_NO_RETURN: "no Poincare return", STATUS_MAX_STEPS: "step limit"}
 
 _SAFETY = 0.9
 _MIN_FAC = 0.2

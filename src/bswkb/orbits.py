@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -20,7 +21,8 @@ class Orbit:
     """One closed orbit of the p0 flow, sampled equispaced in time.
 
     Samples cover [0, T) flow-oriented starting at (x_right, 0); the loop is
-    closed, so sample j sits at t_j = j*T/n.
+    closed, so sample j sits at t_j = j*T/n.  Focal and Fourier-singular
+    points are polished on first access and cached.
     """
 
     energy: float
@@ -28,15 +30,26 @@ class Orbit:
     x: np.ndarray
     xi: np.ndarray
     period: float
-    focal_points: tuple          # (t, x, xi) with d_xi p0 = 0
-    fourier_singular_points: tuple  # (t, x, xi) with d_x p0 = 0
     energy_drift: float
     closure_error: float
+    model: SymbolModel = field(repr=False)
     pack: tuple = field(repr=False)
 
     @property
     def n_samples(self) -> int:
         return self.t.size
+
+    @cached_property
+    def focal_points(self) -> tuple:
+        """(t, x, xi) with d_xi p0 = 0."""
+        return _roots_along_orbit(
+            self, lambda x, xi: self.model.eval_partial(0, 0, 1, x, xi))
+
+    @cached_property
+    def fourier_singular_points(self) -> tuple:
+        """(t, x, xi) with d_x p0 = 0."""
+        return _roots_along_orbit(
+            self, lambda x, xi: self.model.eval_partial(0, 1, 0, x, xi))
 
     def state_at(self, t: float, rtol: float = 1e-12) -> tuple[float, float]:
         """Integrate from the nearest earlier sample to time t (mod T)."""
@@ -46,7 +59,8 @@ class Orbit:
         x, xi, status = flow.advance(self.pack, self.x[j], self.xi[j],
                                      self.t[j], t, rtol=rtol)
         if status != flow.STATUS_OK:
-            raise OrbitError(f"flow advance failed with status {status}")
+            raise OrbitError(f"state_at on the orbit at E = {self.energy:g}: "
+                             f"{flow.STATUS_NAMES[status]}")
         return x, xi
 
 
@@ -56,6 +70,7 @@ def integrate_flow(model: SymbolModel, start, duration: float, tol: float = 1e-9
     pack = flow.pack_flow(model)
     step_tol = min(max(tol / 100.0, 1e-13), 1e-8)
     x, xi = float(start[0]), float(start[1])
+    E0 = model.eval(0, x, xi)
     ts = np.linspace(0.0, duration, n_samples + 1)
     xs = np.empty_like(ts)
     xis = np.empty_like(ts)
@@ -64,12 +79,11 @@ def integrate_flow(model: SymbolModel, start, duration: float, tol: float = 1e-9
         x, xi, status = flow.advance(pack, x, xi, ts[j - 1], ts[j],
                                      rtol=step_tol, atol=step_tol)
         if status != flow.STATUS_OK:
-            raise OrbitError(f"singular flow (integrator status {status})")
+            raise OrbitError(f"integrate_flow at E = {E0:g}: {flow.STATUS_NAMES[status]}")
         xs[j], xis[j] = x, xi
-    E0 = model.eval(0, float(start[0]), float(start[1]))
-    drift = max(abs(model.eval(0, a, b) - E0) for a, b in zip(xs, xis))
+    drift = float(np.abs(model.eval_partial_array(0, 0, 0, xs, xis) - E0).max())
     if drift > tol * max(1.0, abs(E0)):
-        raise OrbitError(f"energy drift {drift:.3e} exceeds tolerance {tol:.1e}")
+        raise OrbitError(f"integrate_flow at E = {E0:g}: drift {drift:.3e} > {tol:.1e}")
     return ts, xs, xis
 
 
@@ -87,7 +101,7 @@ def _rightmost_root(model: SymbolModel, E: float) -> float:
         raise OrbitError("no right turning point found (level set unbounded?)")
     # walk down to the last sign change so we bracket the largest root
     grid = np.linspace(x_hi, 0.0, 257)
-    vals = np.array([f(g) for g in grid])
+    vals = model.eval_partial_array(0, 0, 0, grid, 0.0) - E
     idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
     if idx.size == 0:
         raise OrbitError("failed to bracket p0(x,0) = E")
@@ -95,40 +109,40 @@ def _rightmost_root(model: SymbolModel, E: float) -> float:
     return brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
 
 
-def _refine_root_in_t(pack, g, t_lo, s_lo, t_hi, g_lo, g_hi, rtol=1e-12):
+def _refine_root_in_t(orbit: Orbit, g, t_lo, s_lo, t_hi, g_lo, rtol=1e-12):
     """Bisect g(state(t)) = 0 inside [t_lo, t_hi]; states by re-integration."""
     x_lo, xi_lo = s_lo
     for _ in range(200):
         if t_hi - t_lo <= 8.0 * np.finfo(float).eps * max(1.0, t_hi):
             break
         t_m = 0.5 * (t_lo + t_hi)
-        x_m, xi_m, status = flow.advance(pack, x_lo, xi_lo, t_lo, t_m, rtol=rtol)
+        x_m, xi_m, status = flow.advance(orbit.pack, x_lo, xi_lo, t_lo, t_m, rtol=rtol)
         if status != flow.STATUS_OK:
-            raise OrbitError(f"flow advance failed with status {status}")
+            raise OrbitError(f"root polish at E = {orbit.energy:g}: "
+                             f"{flow.STATUS_NAMES[status]}")
         g_m = g(x_m, xi_m)
         if g_m == 0.0:
             return t_m, x_m, xi_m
         if (g_m > 0.0) == (g_lo > 0.0):
             t_lo, x_lo, xi_lo, g_lo = t_m, x_m, xi_m, g_m
         else:
-            t_hi, g_hi = t_m, g_m
+            t_hi = t_m
     return t_lo, x_lo, xi_lo
 
 
-def _roots_along_orbit(orbit_t, orbit_x, orbit_xi, period, pack, g, tol):
+def _roots_along_orbit(orbit: Orbit, g) -> tuple:
     """All roots of g along the loop from sample sign changes, polished in t."""
-    n = orbit_t.size
-    vals = np.array([g(orbit_x[j], orbit_xi[j]) for j in range(n)])
+    n, period, xs, xis = orbit.n_samples, orbit.period, orbit.x, orbit.xi
+    vals = np.array([g(xs[j], xis[j]) for j in range(n)])
     roots = []
     for j in range(n):
         k = (j + 1) % n
-        t_j = orbit_t[j]
-        t_k = orbit_t[k] if k else period
+        t_j = orbit.t[j]
+        t_k = orbit.t[k] if k else period
         if vals[j] == 0.0:
-            roots.append((t_j, orbit_x[j], orbit_xi[j]))
+            roots.append((t_j, xs[j], xis[j]))
         elif vals[j] * vals[k] < 0.0:
-            t_r, x_r, xi_r = _refine_root_in_t(
-                pack, g, t_j, (orbit_x[j], orbit_xi[j]), t_k, vals[j], vals[k])
+            t_r, x_r, xi_r = _refine_root_in_t(orbit, g, t_j, (xs[j], xis[j]), t_k, vals[j])
             roots.append((t_r % period, x_r, xi_r))
     # deduplicate near-coincident roots (loop wrap)
     out = []
@@ -138,7 +152,7 @@ def _roots_along_orbit(orbit_t, orbit_x, orbit_xi, period, pack, g, tol):
     if out and len(out) > 1 and abs(out[0][0] + period - out[-1][0]) < 1e-9 * period:
         out.pop()
     for t_r, x_r, xi_r in out:
-        if abs(g(x_r, xi_r)) > tol:
+        if abs(g(x_r, xi_r)) > 1e-10:
             raise OrbitError(f"root polish stalled: |g| = {abs(g(x_r, xi_r)):.2e}")
     return tuple(out)
 
@@ -151,45 +165,29 @@ def find_orbit(model: SymbolModel, E: float, n_samples: int = 2048,
     pack = flow.pack_flow(model)
     x0 = _rightmost_root(model, E)
     T, x_T, xi_T, status = flow.find_period(pack, x0, t_max, rtol=rtol, atol=rtol)
-    if status == flow.STATUS_NO_RETURN:
-        raise OrbitError(f"no Poincare return within t_max = {t_max}")
     if status != flow.STATUS_OK:
-        raise OrbitError(f"flow integration failed with status {status}")
+        raise OrbitError(f"find_orbit period search at E = {E:g}: "
+                         f"{flow.STATUS_NAMES[status]} (t_max = {t_max:g})")
     xs, xis, status = flow.sample_loop(pack, x0, 0.0, T, n_samples, rtol=rtol, atol=rtol)
     if status != flow.STATUS_OK:
-        raise OrbitError(f"orbit sampling failed with status {status}")
+        raise OrbitError(f"find_orbit sampling at E = {E:g}: {flow.STATUS_NAMES[status]}")
     ts = np.arange(n_samples) * (T / n_samples)
 
     closure = float(np.hypot(x_T - x0, xi_T - 0.0))
     diameter = float(np.hypot(xs.max() - xs.min(), xis.max() - xis.min()))
     if closure > 1e-8 * diameter:
-        raise OrbitError(f"orbit does not close: gap {closure:.3e}")
+        raise OrbitError(f"orbit at E = {E:g} does not close: gap {closure:.3e}")
 
-    energies = np.array([model.eval(0, a, b) for a, b in zip(xs, xis)])
-    drift = float(np.abs(energies - E).max())
+    drift = float(np.abs(model.eval_partial_array(0, 0, 0, xs, xis) - E).max())
     if drift > 1e-9 * max(1.0, abs(E)):
-        raise OrbitError(f"energy drift {drift:.3e} along orbit")
+        raise OrbitError(f"energy drift {drift:.3e} along the orbit at E = {E:g}")
 
-    g_focal = lambda x, xi: model.eval_partial(0, 0, 1, x, xi)
-    g_four = lambda x, xi: model.eval_partial(0, 1, 0, x, xi)
-    focal = _roots_along_orbit(ts, xs, xis, T, pack, g_focal, 1e-10)
-    singular = _roots_along_orbit(ts, xs, xis, T, pack, g_four, 1e-10)
-    if len(focal) != 2:
-        raise OrbitError(f"unsupported topology: {len(focal)} focal points")
+    # focal points = cyclic sign changes of d_xi p0 over the samples, zeros dropped
+    sign = np.sign(model.eval_partial_array(0, 0, 1, xs, xis))
+    sign = sign[sign != 0.0]
+    n_focal = int(np.count_nonzero(sign != np.roll(sign, 1)))
+    if n_focal != 2:
+        raise OrbitError(f"unsupported topology: {n_focal} focal points at E = {E:g}")
 
-    return Orbit(energy=E, t=ts, x=xs, xi=xis, period=T,
-                 focal_points=focal, fourier_singular_points=singular,
-                 energy_drift=drift, closure_error=closure, pack=pack)
-
-
-def focal_points(orbit: Orbit, model: SymbolModel):
-    """Re-polished focal and Fourier-singular points of an existing orbit."""
-    g_focal = lambda x, xi: model.eval_partial(0, 0, 1, x, xi)
-    g_four = lambda x, xi: model.eval_partial(0, 1, 0, x, xi)
-    focal = _roots_along_orbit(orbit.t, orbit.x, orbit.xi, orbit.period,
-                               orbit.pack, g_focal, 1e-10)
-    singular = _roots_along_orbit(orbit.t, orbit.x, orbit.xi, orbit.period,
-                                  orbit.pack, g_four, 1e-10)
-    if len(focal) != 2:
-        raise OrbitError(f"unsupported topology: {len(focal)} focal points")
-    return focal, singular
+    return Orbit(energy=E, t=ts, x=xs, xi=xis, period=T, energy_drift=drift,
+                 closure_error=closure, model=model, pack=pack)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bswkb.orbits import OrbitError, find_orbit, focal_points, integrate_flow
+import bswkb.flow
+from bswkb.orbits import OrbitError, find_orbit, integrate_flow
 from bswkb.symbols import make_model
 
 
@@ -72,11 +73,41 @@ def test_orbit_invariants(quartic):
 
 def test_focal_refinement_tolerance(quartic):
     orb = find_orbit(quartic, 0.7)
-    focal, singular = focal_points(orb, quartic)
-    for _, x, xi in focal:
+    for _, x, xi in orb.focal_points:
         assert abs(quartic.eval_partial(0, 0, 1, x, xi)) <= 1e-10
-    for _, x, xi in singular:
+    for _, x, xi in orb.fourier_singular_points:
         assert abs(quartic.eval_partial(0, 1, 0, x, xi)) <= 1e-10
+
+
+@pytest.mark.parametrize("E", [0.5, 2.0])
+def test_topology_guard(E):
+    """x^2 + xi^4 - 2 xi^2 is a double well in xi: its loops cross d_xi p0 = 0 six times."""
+    m = make_model("polynomial", p0=[[1, 2, 0], [1, 0, 4], [-2, 0, 2]])
+    with pytest.raises(OrbitError, match="unsupported topology: 6 focal points"):
+        find_orbit(m, E)
+
+
+def test_focal_points_polished_lazily(quartic, monkeypatch):
+    calls = []
+    advance = bswkb.flow.advance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(bswkb.flow, "advance", counted)
+    orb = find_orbit(quartic, 1.0)
+    assert len(calls) == 0
+    first = orb.focal_points
+    n_first = len(calls)
+    assert n_first > 0
+    assert orb.focal_points is first
+    assert len(calls) == n_first
+
+
+def test_failure_names_stage_and_energy(harmonic):
+    with pytest.raises(OrbitError, match=r"period search at E = 1: no Poincare"):
+        find_orbit(harmonic, 1.0, t_max=0.1)
 
 
 def test_reversal_symmetry_even_xi(quartic):
