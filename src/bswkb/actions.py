@@ -1,8 +1,9 @@
 """Loop integrals over closed orbits and the action series S0 + h S1 + h^2 S2.
 
-All loop integrals are taken in the time parameterization (periodic trapezoid
-on equispaced samples, spectrally accurate for smooth loops); E-derivatives
-in S2 are Gelfand-Leray derivatives on the one orbit at E (loop_dE_dt).
+All loop integrals are taken in the time parameterization: sums of the
+integrand times the orbit's per-sample time weights (the periodic trapezoid
+in the polar angle, spectrally accurate for smooth loops); E-derivatives in
+S2 are Gelfand-Leray derivatives on the one orbit at E (loop_dE_dt).
 """
 
 from __future__ import annotations
@@ -68,21 +69,21 @@ def _integrand_values(orbit: Orbit, integrand) -> np.ndarray:
 def loop_integral_dt(orbit: Orbit, integrand, with_error: bool = False):
     """Time integral of a smooth phase-space function over one period.
 
-    Periodic trapezoid = T * mean(f); the reported error estimate compares
-    against the half-resolution subsample.
+    Periodic trapezoid = sum(f w); the reported error estimate compares
+    against the half-resolution subsample (every other sample, weights 2w).
     """
     vals = _integrand_values(orbit, integrand)
-    full = orbit.period * float(vals.mean())
+    full = float(vals @ orbit.w)
     if not with_error:
         return full
-    half = orbit.period * float(vals[::2].mean())
+    half = 2.0 * float(vals[::2] @ orbit.w[::2])
     return full, abs(full - half)
 
 
 def action_S0(orbit: Orbit) -> float:
     """Principal action: loop xi dx = loop xi * xdot dt (no turning singularity)."""
     xdot = orbit.model.eval_partial_array(0, 0, 1, orbit.x, orbit.xi)
-    return orbit.period * float((orbit.xi * xdot).mean())
+    return float((orbit.xi * xdot) @ orbit.w)
 
 
 def gamma_density(model: SymbolModel, x, xi):
@@ -135,7 +136,7 @@ def loop_dE_dt(model: SymbolModel, orbit: Orbit, f, f_x, f_xi) -> float:
     g = px * px + pxi * pxi
     div_Y = (pxx + pxixi - 2.0 * (px * px * pxx + 2.0 * px * pxi * pxxi
                                   + pxi * pxi * pxixi) / g) / g
-    return orbit.period * float(((f_x * px + f_xi * pxi) / g + f * div_Y).mean())
+    return float(((f_x * px + f_xi * pxi) / g + f * div_Y) @ orbit.w)
 
 
 def loop_integrals(model: SymbolModel, orbit: Orbit) -> LoopIntegrals:
@@ -210,11 +211,11 @@ def stokes_check(model: SymbolModel, E: float, f_terms, g_terms,
         xidot = -model.eval_partial_array(0, 1, 0, orb.x, orb.xi)
         fv = poly_terms_eval(f_terms, 0, 0, orb.x, orb.xi)
         gv = poly_terms_eval(g_terms, 0, 0, orb.x, orb.xi)
-        return orb.period * float((fv * xdot + gv * xidot).mean())
+        return float((fv * xdot + gv * xidot) @ orb.w)
 
     lhs = dE_derivative(loop_form, E, 1)
     orb = find_orbit(model, E, n_samples=n_samples)
     curl = (poly_terms_eval(g_terms, 1, 0, orb.x, orb.xi)
             - poly_terms_eval(f_terms, 0, 1, orb.x, orb.xi))
-    rhs = orb.period * float(curl.mean())
+    rhs = float(curl @ orb.w)
     return abs(lhs + rhs)

@@ -1,45 +1,20 @@
-"""Hamiltonian-flow integration kernels for the p0 flow.
+"""Dormand-Prince 5(4) integration of the p0 flow, for the cold paths:
+integrate_flow from arbitrary starts, Orbit.state_at and focal-point polish.
 
-Dormand-Prince 5(4) with adaptive steps, a Poincare-return period finder and
-equispaced loop sampling.  The kernels are scalar loops: with numba available
-(and BSWKB_NUMBA != "0") they are compiled with @njit; otherwise the same
-functions run as pure Python/numpy.  Both paths produce identical results,
-see benchmarks/bench_flow.py for the speed comparison.
+The kernels are scalar loops over the monomial arrays of pack_flow.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_want_numba = os.environ.get("BSWKB_NUMBA", "1") != "0"
-NUMBA_ENABLED = False
-if _want_numba:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
-STATUS_NO_RETURN = 2
 STATUS_MAX_STEPS = 3
 STATUS_NAMES = {STATUS_OK: "ok", STATUS_STEP_UNDERFLOW: "step size underflow",
-                STATUS_NO_RETURN: "no Poincare return", STATUS_MAX_STEPS: "step limit"}
+                STATUS_MAX_STEPS: "step limit"}
 
 _SAFETY = 0.9
 _MIN_FAC = 0.2
@@ -47,7 +22,6 @@ _MAX_FAC = 5.0
 _MAX_STEPS = 2_000_000
 
 
-@njit(cache=True)
 def _poly_eval(coeff, xp, kp, x, xi):
     s = 0.0
     for i in range(coeff.shape[0]):
@@ -55,7 +29,6 @@ def _poly_eval(coeff, xp, kp, x, xi):
     return s
 
 
-@njit(cache=True)
 def _vprime(vkind, A, a, x):
     if vkind == 1:  # morse: V = A(e^{-2ax} - 2 e^{-ax})
         return A * (-2.0 * a * math.exp(-2.0 * a * x) + 2.0 * a * math.exp(-a * x))
@@ -66,7 +39,6 @@ def _vprime(vkind, A, a, x):
     return 0.0
 
 
-@njit(cache=True)
 def _rhs(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va, x, xi):
     # xdot = d_xi p0, xidot = -d_x p0 (potential part enters d_x only)
     xdot = _poly_eval(cxi, xpxi, kpxi, x, xi)
@@ -74,7 +46,6 @@ def _rhs(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va, x, xi):
     return xdot, xidot
 
 
-@njit(cache=True)
 def _advance(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va,
              x, xi, t0, t1, rtol, atol, h0):
     """Integrate from t0 to exactly t1; returns (x, xi, h_last, status)."""
@@ -145,79 +116,7 @@ def _advance(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va,
     return x, xi, h, STATUS_OK
 
 
-@njit(cache=True)
-def _find_period(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va,
-                 x0, xi0, t_max, rtol, atol):
-    """First directional return to the section xi = 0 (decreasing crossing).
-
-    Starts at (x0, 0) where the flow leaves the section downward; the full
-    loop crosses the section upward once (at the far turning point) and comes
-    back down exactly at the period.  Returns (T, x_T, xi_T, status).
-    """
-    t = 0.0
-    x, xi = x0, xi0
-    h = 1e-4 * max(1.0, abs(t_max))
-    t_prev, x_prev, xi_prev = t, x, xi
-    found = False
-    while t < t_max:
-        t_next = min(t + max(h, 1e-8), t_max)
-        x_n, xi_n, h, status = _advance(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va,
-                                        x, xi, t, t_next, rtol, atol, h)
-        if status != STATUS_OK:
-            return 0.0, x_n, xi_n, status
-        if xi > 0.0 and xi_n <= 0.0:
-            t_prev, x_prev, xi_prev = t, x, xi
-            found = True
-            t, x, xi = t_next, x_n, xi_n
-            break
-        t, x, xi = t_next, x_n, xi_n
-    if not found:
-        return 0.0, x, xi, STATUS_NO_RETURN
-
-    # bisect the bracket [t_prev, t] on xi(t)
-    t_lo, x_lo, xi_lo = t_prev, x_prev, xi_prev
-    t_hi, xi_hi = t, xi
-    for _ in range(200):
-        if t_hi - t_lo <= 4.0 * 2.220446049250313e-16 * t_hi:
-            break
-        t_mid = 0.5 * (t_lo + t_hi)
-        x_m, xi_m, _, status = _advance(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va,
-                                        x_lo, xi_lo, t_lo, t_mid, rtol, atol, 0.0)
-        if status != STATUS_OK:
-            return 0.0, x_m, xi_m, status
-        if xi_m > 0.0:
-            t_lo, x_lo, xi_lo = t_mid, x_m, xi_m
-        else:
-            t_hi, xi_hi = t_mid, xi_m
-    # linear interpolation inside the final bracket
-    T = t_lo + (t_hi - t_lo) * xi_lo / (xi_lo - xi_hi) if xi_lo != xi_hi else t_lo
-    x_T, xi_T, _, status = _advance(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va,
-                                    x_lo, xi_lo, t_lo, T, rtol, atol, 0.0)
-    return T, x_T, xi_T, status
-
-
-@njit(cache=True)
-def _sample_loop(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va,
-                 x0, xi0, T, n, rtol, atol):
-    """States at t_j = j*T/n, j = 0..n-1 (loop start excluded from the end)."""
-    xs = np.empty(n)
-    xis = np.empty(n)
-    xs[0] = x0
-    xis[0] = xi0
-    x, xi = x0, xi0
-    h = 0.0
-    status = STATUS_OK
-    for j in range(1, n):
-        x, xi, h, status = _advance(cx, xpx, kpx, cxi, xpxi, kpxi, vkind, vA, va,
-                                    x, xi, (j - 1) * T / n, j * T / n, rtol, atol, h)
-        if status != STATUS_OK:
-            break
-        xs[j] = x
-        xis[j] = xi
-    return xs, xis, status
-
-
-# -- python-side packing ------------------------------------------------------
+# -- packing ------------------------------------------------------------------
 
 _VKINDS = {None: 0, "morse": 1, "poschl-teller": 2}
 
@@ -249,10 +148,3 @@ def advance(pack, x, xi, t0, t1, rtol=1e-12, atol=1e-12):
     x1, xi1, _, status = _advance(*pack, x, xi, t0, t1, rtol, atol, 0.0)
     return x1, xi1, status
 
-
-def find_period(pack, x0, t_max, rtol=1e-12, atol=1e-12):
-    return _find_period(*pack, x0, 0.0, t_max, rtol, atol)
-
-
-def sample_loop(pack, x0, xi0, T, n, rtol=1e-12, atol=1e-12):
-    return _sample_loop(*pack, x0, xi0, T, n, rtol, atol)

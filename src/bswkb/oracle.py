@@ -137,6 +137,10 @@ def _lowest_eigs(band: np.ndarray, m: int, vectors: bool = False):
 def _auto_domain(model: SymbolModel, E_top: float, h: float):
     """Symmetric-ish box: turning points at E_top plus a forbidden margin
     thick enough that the tunneling integral kills boundary mass."""
+    if model.eval(0, 0.0, 0.0) >= E_top:
+        raise OracleError(f"box sizing at E_top = {E_top:g}: p0(0, 0) >= E_top; "
+                          f"the box is built about x = 0 on the line xi = 0")
+
     def outer_root(side):
         x = 1.0 * side
         for _ in range(90):
@@ -189,7 +193,7 @@ def classical_energy_top(model: SymbolModel, h: float, m: int) -> float:
     from .orbits import find_orbit
 
     target = 2.0 * np.pi * h * (m + 1.5)
-    E_min = well_minimum(model)
+    E_min = model.well_minimum[2]
     E = E_min + max(0.5 * h, 1e-4 * max(1.0, abs(E_min)))
     for _ in range(200):
         orb = find_orbit(model, E, n_samples=512)
@@ -199,20 +203,6 @@ def classical_energy_top(model: SymbolModel, h: float, m: int) -> float:
         step = (E - E_min) * 0.6
         E = E + max(step, 0.05 * h)
     raise OracleError("requested level count outside the well")
-
-
-def well_minimum(model: SymbolModel) -> float:
-    """Minimum of p0 over phase space (well bottom)."""
-    from scipy.optimize import minimize
-
-    best = None
-    for x0 in np.linspace(-3.0, 3.0, 13):
-        res = minimize(lambda z: model.eval(0, z[0], z[1]), np.array([x0, 0.0]),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-        if best is None or res.fun < best:
-            best = float(res.fun)
-    return best
 
 
 def oracle_spectrum(model: SymbolModel, h: float, m: int, domain=None,

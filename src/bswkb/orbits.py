@@ -1,4 +1,5 @@
-"""Closed energy orbits of the principal symbol: period, samples, focal points."""
+"""Closed energy orbits of the principal symbol: polar samples, time weights,
+focal points."""
 
 from __future__ import annotations
 
@@ -6,10 +7,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import flow
 from .symbols import SymbolModel
+
+_RADIAL_SCAN = 32      # radii per ray in the bracket scan (star-shape check)
+_MAX_SAMPLES = 1 << 16
 
 
 class OrbitError(RuntimeError):
@@ -18,26 +21,40 @@ class OrbitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Orbit:
-    """One closed orbit of the p0 flow, sampled equispaced in time.
+    """One closed orbit p0 = E, sampled at equispaced angles about the well
+    minimum in the flow's (clockwise) sense.
 
-    Samples cover [0, T) flow-oriented starting at (x_right, 0); the loop is
-    closed, so sample j sits at t_j = j*T/n.  Focal and Fourier-singular
-    points are polished on first access and cached.
+    Sample k carries the time weight w[k], so T = sum(w) and a loop integral
+    of f dt is sum(f w) (periodic trapezoid in the angle).  The sample times
+    t, the flow pack and the focal and Fourier-singular points are computed
+    on first access and cached.
     """
 
     energy: float
-    t: np.ndarray
     x: np.ndarray
     xi: np.ndarray
+    w: np.ndarray
     period: float
     energy_drift: float
-    closure_error: float
     model: SymbolModel = field(repr=False)
-    pack: tuple = field(repr=False)
 
     @property
     def n_samples(self) -> int:
-        return self.t.size
+        return self.x.size
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """Sample times from 0: the spectral antiderivative of dt/dtheta."""
+        n = self.n_samples
+        m = np.arange(n // 2 + 1)
+        coeff = np.zeros(m.size, dtype=complex)
+        coeff[1:-1] = np.fft.rfft(self.w)[1:-1] / (2j * np.pi * m[1:-1])
+        periodic = n * np.fft.irfft(coeff, n)
+        return self.period * np.arange(n) / n + periodic - periodic[0]
+
+    @cached_property
+    def pack(self) -> tuple:
+        return flow.pack_flow(self.model)
 
     @cached_property
     def focal_points(self) -> tuple:
@@ -53,9 +70,8 @@ class Orbit:
 
     def state_at(self, t: float, rtol: float = 1e-12) -> tuple[float, float]:
         """Integrate from the nearest earlier sample to time t (mod T)."""
-        T = self.period
-        t = t % T
-        j = min(int(t / T * self.n_samples), self.n_samples - 1)
+        t = t % self.period
+        j = int(np.searchsorted(self.t, t, side="right")) - 1
         x, xi, status = flow.advance(self.pack, self.x[j], self.xi[j],
                                      self.t[j], t, rtol=rtol)
         if status != flow.STATUS_OK:
@@ -85,28 +101,6 @@ def integrate_flow(model: SymbolModel, start, duration: float, tol: float = 1e-9
     if drift > tol * max(1.0, abs(E0)):
         raise OrbitError(f"integrate_flow at E = {E0:g}: drift {drift:.3e} > {tol:.1e}")
     return ts, xs, xis
-
-
-def _rightmost_root(model: SymbolModel, E: float) -> float:
-    """Largest x >= 0 with p0(x, 0) = E, by expanding scan + Brent."""
-    f = lambda x: model.eval(0, x, 0.0) - E
-    if f(0.0) >= 0.0:
-        raise OrbitError("p0(0,0) >= E: energy not above the well interior")
-    x_hi = 1.0
-    for _ in range(80):
-        if f(x_hi) > 0.0:
-            break
-        x_hi *= 1.6
-    else:
-        raise OrbitError("no right turning point found (level set unbounded?)")
-    # walk down to the last sign change so we bracket the largest root
-    grid = np.linspace(x_hi, 0.0, 257)
-    vals = model.eval_partial_array(0, 0, 0, grid, 0.0) - E
-    idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-    if idx.size == 0:
-        raise OrbitError("failed to bracket p0(x,0) = E")
-    a, b = grid[idx[0] + 1], grid[idx[0]]
-    return brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
 
 
 def _refine_root_in_t(orbit: Orbit, g, t_lo, s_lo, t_hi, g_lo, rtol=1e-12):
@@ -157,37 +151,106 @@ def _roots_along_orbit(orbit: Orbit, g) -> tuple:
     return tuple(out)
 
 
-def find_orbit(model: SymbolModel, E: float, n_samples: int = 2048,
-               t_max: float = 500.0, rtol: float = 5e-14) -> Orbit:
-    """Locate the closed orbit p0 = E through (x_right, 0) and sample one period."""
-    if n_samples < 512:
-        raise ValueError("n_samples must be >= 512")
-    pack = flow.pack_flow(model)
-    x0 = _rightmost_root(model, E)
-    T, x_T, xi_T, status = flow.find_period(pack, x0, t_max, rtol=rtol, atol=rtol)
-    if status != flow.STATUS_OK:
-        raise OrbitError(f"find_orbit period search at E = {E:g}: "
-                         f"{flow.STATUS_NAMES[status]} (t_max = {t_max:g})")
-    xs, xis, status = flow.sample_loop(pack, x0, 0.0, T, n_samples, rtol=rtol, atol=rtol)
-    if status != flow.STATUS_OK:
-        raise OrbitError(f"find_orbit sampling at E = {E:g}: {flow.STATUS_NAMES[status]}")
-    ts = np.arange(n_samples) * (T / n_samples)
+def _polar_samples(model: SymbolModel, E: float, n: int) -> Orbit:
+    """The level set p0 = E on n rays from the well minimum, with every check."""
+    x0, xi0, _ = model.well_minimum
+    theta = -2.0 * np.pi * np.arange(n) / n
+    ux, uxi = np.cos(theta), np.sin(theta)
+    pa = model.eval_partial_array
+    f = lambda r: pa(0, 0, 0, x0 + r * ux, xi0 + r * uxi) - E
 
-    closure = float(np.hypot(x_T - x0, xi_T - 0.0))
-    diameter = float(np.hypot(xs.max() - xs.min(), xis.max() - xis.min()))
-    if closure > 1e-8 * diameter:
-        raise OrbitError(f"orbit at E = {E:g} does not close: gap {closure:.3e}")
+    # R: a power of two with p0 > E at radius R on every ray, but not at R / 2
+    R = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            if np.all(f(R) > 0.0):
+                break
+            R *= 2.0
+        else:
+            raise OrbitError(f"find_orbit ray bracket at E = {E:g}: "
+                             f"p0 < E at radius {R:.3g} (level set unbounded)")
+        while np.all(f(0.5 * R) > 0.0):
+            R *= 0.5
 
-    drift = float(np.abs(model.eval_partial_array(0, 0, 0, xs, xis) - E).max())
-    if drift > 1e-9 * max(1.0, abs(E)):
-        raise OrbitError(f"energy drift {drift:.3e} along the orbit at E = {E:g}")
+    # scan each ray, bracket its first crossing, then safeguarded Newton
+    radii = R * np.arange(1, _RADIAL_SCAN + 1) / _RADIAL_SCAN
+    outside = np.vstack([np.zeros(n, dtype=bool), f(radii[:, None]) > 0.0])
+    crossings = np.count_nonzero(np.diff(outside, axis=0), axis=0)
+    outside = outside[1:]
+    j = np.argmax(outside, axis=0)
+    lo = np.where(j > 0, radii[j - 1], 0.0)
+    hi = radii[j]
+    r = 0.5 * (lo + hi)
+    active = np.arange(n)
+    for _ in range(200):
+        xa, xia = x0 + r[active] * ux[active], xi0 + r[active] * uxi[active]
+        fa = pa(0, 0, 0, xa, xia) - E
+        dfa = ux[active] * pa(0, 1, 0, xa, xia) + uxi[active] * pa(0, 0, 1, xa, xia)
+        lo[active] = np.where(fa < 0.0, r[active], lo[active])
+        hi[active] = np.where(fa > 0.0, r[active], hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_new = r[active] - fa / dfa
+        newton = (r_new >= lo[active]) & (r_new <= hi[active])
+        r_new = np.where(newton, r_new, 0.5 * (lo[active] + hi[active]))
+        done = ((fa == 0.0) | (newton & (np.abs(r_new - r[active]) <= 1e-12 * r[active]))
+                | (hi[active] - lo[active] <= 4.0 * np.finfo(float).eps * hi[active]))
+        r[active] = np.where(fa == 0.0, r[active], r_new)
+        active = active[~done]
+        if active.size == 0:
+            break
+
+    xs, xis = x0 + r * ux, xi0 + r * uxi
+    px, pxi = pa(0, 1, 0, xs, xis), pa(0, 0, 1, xs, xis)
+    radial = ux * px + uxi * pxi
+
+    drift = float(np.abs(pa(0, 0, 0, xs, xis) - E).max())
+    if active.size or drift > 1e-9 * max(1.0, abs(E)):
+        raise OrbitError(f"find_orbit Newton residual at E = {E:g}: "
+                         f"|p0 - E| = {drift:.3e} on {active.size} unconverged rays")
 
     # focal points = cyclic sign changes of d_xi p0 over the samples, zeros dropped
-    sign = np.sign(model.eval_partial_array(0, 0, 1, xs, xis))
+    sign = np.sign(pxi)
     sign = sign[sign != 0.0]
     n_focal = int(np.count_nonzero(sign != np.roll(sign, 1)))
     if n_focal != 2:
         raise OrbitError(f"unsupported topology: {n_focal} focal points at E = {E:g}")
 
-    return Orbit(energy=E, t=ts, x=xs, xi=xis, period=T, energy_drift=drift,
-                 closure_error=closure, model=model, pack=pack)
+    if np.any(radial <= 0.0) or np.any(crossings != 1):
+        raise OrbitError(
+            f"find_orbit star-shape check at E = {E:g}: the level set is not "
+            f"star-shaped about the well minimum ({x0:.6g}, {xi0:.6g}); rays cross "
+            f"it up to {crossings.max()} times, min u.grad p0 = {radial.min():.3e}")
+
+    w = (2.0 * np.pi / n) * r / radial
+    return Orbit(energy=E, x=xs, xi=xis, w=w, period=float(w.sum()),
+                 energy_drift=drift, model=model)
+
+
+def find_orbit(model: SymbolModel, E: float, n_samples: int = 2048) -> Orbit:
+    """The closed orbit p0 = E as a polar level set about the well minimum.
+
+    Ray k leaves (x*, xi*) at angle -2 pi k / n (the flow runs clockwise;
+    angle 0 points along +x) and meets p0 = E once, at radius r_k; its time
+    weight is (2 pi / n) r_k / (u_k . grad p0).  Checks, in order: the Newton
+    residual, the focal-point count, the star shape; then n doubles until
+    the period and the action S0 agree with their half-resolution values to
+    1e-12 relative.
+    """
+    if n_samples < 512:
+        raise ValueError("n_samples must be >= 512")
+    E_min = model.well_minimum[2]
+    if not E > E_min:
+        raise OrbitError(f"find_orbit at E = {E:g}: not above the well minimum "
+                         f"E_min = {E_min:g}")
+    n = n_samples
+    while True:
+        orbit = _polar_samples(model, E, n)
+        w = orbit.w
+        s0 = orbit.xi * model.eval_partial_array(0, 0, 1, orbit.x, orbit.xi)
+        pairs = ((orbit.period, 2.0 * w[::2].sum()), (s0 @ w, 2.0 * (s0[::2] @ w[::2])))
+        if all(abs(full - half) <= 1e-12 * abs(full) for full, half in pairs):
+            return orbit
+        n *= 2
+        if n > _MAX_SAMPLES:
+            raise OrbitError(f"find_orbit resolution check at E = {E:g}: period and "
+                             f"action unresolved at n = {n // 2}")

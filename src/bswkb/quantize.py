@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from .actions import (DEFAULT_CALIBRATION, SignCalibration, action_S0,
                       action_series, loop_integral_dt)
-from .oracle import oracle_spectrum, well_minimum
+from .oracle import oracle_spectrum
 from .orbits import find_orbit
 from .symbols import SymbolModel, make_model
 
@@ -56,13 +56,10 @@ class BSSolver:
         self.cal = cal
         self.n_samples = n_samples
         self._S_cache: dict[float, float] = {}
-        self._E_min: float | None = None
 
     @property
     def E_min(self) -> float:
-        if self._E_min is None:
-            self._E_min = well_minimum(self.model)
-        return self._E_min
+        return self.model.well_minimum[2]
 
     def S(self, E: float) -> float:
         """Total action S0 + h S1 [order>=1] + h^2 S2 [order>=2]."""
@@ -84,7 +81,7 @@ class BSSolver:
 
     # -- root finding -----------------------------------------------------------
 
-    def _bracket(self, target: float):
+    def _bracket(self, target: float, where: str):
         E_min = self.E_min
         span0 = max(0.25 * self.h, 1e-4 * max(1.0, abs(E_min)))
         E_lo = E_min + span0
@@ -92,7 +89,8 @@ class BSSolver:
         while S_lo > target:
             span0 *= 0.25
             if span0 < 1e-12 * max(1.0, abs(E_min)):
-                raise QuantizeError("target below the well (no bracket)")
+                raise QuantizeError(f"{where}: target below the well, S = {S_lo:.10g} "
+                                    f"at E = {E_lo:.10g} (E_min = {E_min:.10g})")
             E_lo = E_min + span0
             S_lo = self.S(E_lo)
         E_hi = E_lo
@@ -102,20 +100,26 @@ class BSSolver:
             try:
                 S_hi = self.S(E_hi)
             except Exception as exc:
-                raise QuantizeError(f"level outside well: {exc}") from exc
-            if S_hi >= target:
+                raise QuantizeError(f"{where}: level outside the well, S(E) failed at "
+                                    f"E = {E_hi:.10g} (bracket from E = {E_lo:.10g}): "
+                                    f"{exc}") from exc
+            if S_hi > target:
                 return E_lo, E_hi
             step *= 1.5
-        raise QuantizeError("failed to bracket the quantization target")
+        raise QuantizeError(f"{where}: failed to bracket the quantization target, "
+                            f"S = {S_hi:.10g} at E = {E_hi:.10g} "
+                            f"(bracket from E = {E_lo:.10g})")
 
     def quantize(self, n: int) -> SpectrumEntry:
         target = 2.0 * math.pi * self.h * (n + 0.5)
-        E_lo, E_hi = self._bracket(target)
+        where = f"level n = {n}, target 2 pi h (n + 1/2) = {target:.10g}"
+        E_lo, E_hi = self._bracket(target, where)
         root = brentq(lambda e: self.S(e) - target, E_lo, E_hi,
                       xtol=1e-14, rtol=8.9e-16, maxiter=200)
         res = abs(self.S(root) - target)
         if res > 1e-10 * target:
-            raise QuantizeError(f"root polish stalled: residual {res:.2e}")
+            raise QuantizeError(f"{where}: root polish stalled, residual {res:.2e} at "
+                                f"E = {root:.10g} (bracket [{E_lo:.10g}, {E_hi:.10g}])")
         return SpectrumEntry(n=n, E=float(root), bs_residual=float(res),
                              bracket=(E_lo, E_hi))
 
@@ -123,7 +127,8 @@ class BSSolver:
         entries = tuple(self.quantize(n) for n in range(n_max + 1))
         for a, b in zip(entries, entries[1:]):
             if not b.E > a.E:
-                raise QuantizeError("energies not strictly increasing")
+                raise QuantizeError(f"energies not strictly increasing: level {a.n} at "
+                                    f"E = {a.E:.10g}, level {b.n} at E = {b.E:.10g}")
         return SpectrumResult(h=self.h, order=self.order, entries=entries,
                               calibration=self.cal)
 

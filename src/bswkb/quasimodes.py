@@ -81,6 +81,7 @@ class _BranchGeometry:
         self.t_left, self.x_left = focal[0][0], focal[0][1]
         self.t_right, self.x_right = focal[1][0], focal[1][1]
         self.xi_right = focal[1][2]
+        self.t_edges = np.append(orbit.t, orbit.period)
         if abs(self.t_right) > 1e-9 * orbit.period and \
            abs(self.t_right - orbit.period) > 1e-9 * orbit.period:
             raise QuasimodeError("orbit does not start at the right focal point")
@@ -88,12 +89,12 @@ class _BranchGeometry:
     def _hermite_state(self, t):
         """(x, xi) at arbitrary times (vectorized) from the sample grid."""
         orb = self.orbit
-        T, n = orb.period, orb.n_samples
-        t = np.asarray(t, dtype=float) % T
-        dt = T / n
-        j = np.minimum((t / dt).astype(int), n - 1)
+        n = orb.n_samples
+        t = np.asarray(t, dtype=float) % orb.period
+        j = np.clip(np.searchsorted(self.t_edges, t, side="right") - 1, 0, n - 1)
         jp = (j + 1) % n
-        s = (t - j * dt) / dt
+        dt = self.t_edges[j + 1] - self.t_edges[j]
+        s = (t - self.t_edges[j]) / dt
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
@@ -108,13 +109,12 @@ class _BranchGeometry:
         """Flow times on the requested branch (branch = sign of d_xi p0)."""
         orb = self.orbit
         n = orb.n_samples
-        dt = orb.period / n
         # branch sample index ranges: minus-branch runs t in (0, t_left),
         # plus-branch t in (t_left, T)
         if branch < 0:
-            j_lo, j_hi = 0, int(self.t_left / dt)
+            j_lo, j_hi = 0, int(np.searchsorted(orb.t, self.t_left, side="right")) - 1
         else:
-            j_lo, j_hi = int(np.ceil(self.t_left / dt)), n - 1
+            j_lo, j_hi = int(np.searchsorted(orb.t, self.t_left, side="left")), n - 1
         xs = orb.x[j_lo:j_hi + 1]
         out = np.empty(np.asarray(x_vals).size)
         for i, xv in enumerate(np.atleast_1d(x_vals)):
@@ -124,7 +124,7 @@ class _BranchGeometry:
             else:
                 k = np.searchsorted(xs, xv)    # x increasing
             k = int(np.clip(k, 1, xs.size - 1)) + j_lo
-            t_lo, t_hi = (k - 1) * dt, k * dt
+            t_lo, t_hi = self.t_edges[k - 1], self.t_edges[k]
             for _ in range(80):
                 t_m = 0.5 * (t_lo + t_hi)
                 x_m, _ = self._hermite_state(t_m)

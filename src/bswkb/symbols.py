@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -191,15 +192,43 @@ class SymbolModel:
 
     # -- convenience views ---------------------------------------------------
 
-    def p(self, level: int):
-        return lambda x, xi: self.eval(level, x, xi)
-
-    def hamilton_rhs(self, x: float, xi: float) -> tuple[float, float]:
-        """(xdot, xidot) of the p0 flow."""
-        return (self.eval_partial(0, 0, 1, x, xi), -self.eval_partial(0, 1, 0, x, xi))
-
     def swapped(self) -> "SwappedSymbol":
         return SwappedSymbol(self)
+
+    # -- well minimum ----------------------------------------------------------
+
+    @cached_property
+    def well_minimum(self) -> tuple[float, float, float]:
+        """(x*, xi*, E_min): the minimum of p0 over phase space.
+
+        Seeded by the lowest node of a grid on [-4, 4]^2, then damped Newton
+        on grad p0 = 0 with the analytic Hessian; a singular or indefinite
+        Hessian (degenerate minima such as x^4) falls back to a gradient step,
+        and every step must lower p0.
+        """
+        pa = lambda i, j, x, xi: float(self.eval_partial_array(0, i, j, x, xi))
+        grid = np.linspace(-4.0, 4.0, 65)
+        vals = self.eval_partial_array(0, 0, 0, grid[:, None], grid[None, :])
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        z = np.array([grid[i], grid[j]])
+        p = float(vals[i, j])
+        for _ in range(200):
+            g = np.array([pa(1, 0, *z), pa(0, 1, *z)])
+            H = np.array([[pa(2, 0, *z), pa(1, 1, *z)], [pa(1, 1, *z), pa(0, 2, *z)]])
+            step = -g
+            if H[0, 0] > 0.0 and np.linalg.det(H) > 0.0:
+                step = -np.linalg.solve(H, g)
+            for _ in range(60):
+                p_new = pa(0, 0, *(z + step))
+                if p_new < p:
+                    break
+                step = 0.5 * step
+            else:
+                break
+            z, p = z + step, p_new
+            if np.hypot(*step) <= 1e-15 * (1.0 + np.hypot(*z)):
+                break
+        return float(z[0]), float(z[1]), p
 
 
 class SwappedSymbol:

@@ -3,7 +3,7 @@ import pytest
 
 from bswkb.oracle import (OracleError, _band, _level_coefficients,
                           _lowest_eigs, _poly_on_grid, discretize,
-                          oracle_spectrum, well_minimum)
+                          oracle_spectrum)
 from bswkb.symbols import make_model
 
 HARMONIC = make_model("harmonic")
@@ -168,9 +168,28 @@ def test_free_particle_box_floor():
 
 
 def test_well_minimum():
-    assert well_minimum(HARMONIC) == pytest.approx(0.0, abs=1e-10)
+    assert HARMONIC.well_minimum[2] == pytest.approx(0.0, abs=1e-10)
     m = make_model("morse", params={"A": 4.0, "a": 1.0})
-    assert well_minimum(m) == pytest.approx(-4.0, abs=1e-9)
+    assert m.well_minimum[2] == pytest.approx(-4.0, abs=1e-9)
+    shifted_x = make_model("polynomial", p0=[[1, 0, 2], [1, 2, 0], [-10, 1, 0], [25, 0, 0]])
+    shifted_xi = make_model("polynomial", p0=[[1, 0, 2], [-2, 0, 1], [1, 0, 0], [1, 2, 0]])
+    x4 = make_model("polynomial", p0=[[1, 4, 0], [1, 0, 2]])
+    # (x - 0.3)^4 + xi^2 - 1: degenerate and off the seed grid
+    x4_shifted = make_model("polynomial", p0=[[1, 4, 0], [-1.2, 3, 0], [0.54, 2, 0],
+                                              [-0.108, 1, 0], [-0.9919, 0, 0], [1, 0, 2]])
+    for model, want in ((shifted_x, (5.0, 0.0, 0.0)), (shifted_xi, (0.0, 1.0, 0.0)),
+                        (x4, (0.0, 0.0, 0.0)), (x4_shifted, (0.3, 0.0, -1.0))):
+        x, xi, E = model.well_minimum
+        assert E == pytest.approx(want[2], abs=1e-12)
+        assert (x, xi) == pytest.approx(want[:2], abs=1e-3)
+    assert m.well_minimum is m.well_minimum
+
+
+def test_box_sizing_rejects_x_shifted_well():
+    """The box is still built about x = 0 on xi = 0: a shifted well fails cleanly."""
+    m = make_model("polynomial", p0=[[1, 0, 2], [1, 2, 0], [-4, 1, 0], [4, 0, 0]])
+    with pytest.raises(OracleError, match=r"box sizing at E_top = .*: p0\(0, 0\) >= E_top"):
+        oracle_spectrum(m, 0.1, 3)
 
 
 def test_morse_oracle_vs_closed_form():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bswkb.flow
+from bswkb.actions import action_S0
 from bswkb.orbits import OrbitError, find_orbit, integrate_flow
 from bswkb.symbols import make_model
 
@@ -65,8 +66,6 @@ def test_quartic_turning_points(quartic):
 
 def test_orbit_invariants(quartic):
     orb = find_orbit(quartic, 1.3)
-    diam = np.hypot(np.ptp(orb.x), np.ptp(orb.xi))
-    assert orb.closure_error <= 1e-8 * diam
     assert orb.energy_drift <= 1e-9 * max(1.0, abs(orb.energy))
     assert len(orb.focal_points) == 2
 
@@ -105,9 +104,20 @@ def test_focal_points_polished_lazily(quartic, monkeypatch):
     assert len(calls) == n_first
 
 
-def test_failure_names_stage_and_energy(harmonic):
-    with pytest.raises(OrbitError, match=r"period search at E = 1: no Poincare"):
-        find_orbit(harmonic, 1.0, t_max=0.1)
+# (xi - 10 x^2)^2 + x^2: a bent single well whose level set E = 1 is a banana
+# with two focal points; rays from the minimum leave it and re-enter its arms
+BANANA = make_model("polynomial", p0=[[1, 0, 2], [-20, 2, 1], [100, 4, 0], [1, 2, 0]])
+
+
+def test_failure_names_stage_and_energy():
+    cases = [
+        (make_model("harmonic"), -0.5,
+         r"find_orbit at E = -0.5: not above the well minimum E_min = 0"),
+        (BANANA, 1.0, r"find_orbit star-shape check at E = 1: .* rays cross it up to 3 times"),
+    ]
+    for model, E, message in cases:
+        with pytest.raises(OrbitError, match=message):
+            find_orbit(model, E)
 
 
 def test_reversal_symmetry_even_xi(quartic):
@@ -136,3 +146,35 @@ def test_state_at_consistency(harmonic):
     x, xi = orb.state_at(math.pi / 4)
     assert x == pytest.approx(0.0, abs=1e-9)
     assert xi == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("E", [-2.0, -0.3, -0.1, -0.02])
+def test_morse_polar_orbit_closed_forms(E):
+    """S0 = 2 pi (sqrt(A) - sqrt(-E)) / a, T = pi / (a sqrt(-E)); the
+    resolution check doubles n where the loop grows lopsided."""
+    A, a = 4.0, 1.0
+    m = make_model("morse", params={"A": A, "a": a})
+    orb = find_orbit(m, E, n_samples=512)
+    assert action_S0(orb) == pytest.approx(2 * math.pi * (math.sqrt(A) - math.sqrt(-E)) / a,
+                                           rel=1e-13)
+    assert orb.period == pytest.approx(math.pi / (a * math.sqrt(-E)), rel=1e-13)
+    assert (orb.n_samples > 512) == (E >= -0.3)
+
+
+@pytest.mark.parametrize("model, E", [
+    (make_model("quartic-well"), 1.0),
+    (make_model("morse", params={"A": 4.0, "a": 1.0}), -2.0),
+    (make_model("morse", params={"A": 4.0, "a": 1.0}), -0.3),
+    (make_model("quartic-well", p0=[[0.3, 1, 1], [0.7, 0, 1]]), 1.5),
+])
+def test_sample_times_follow_the_flow(model, E):
+    """The flow carries sample k to sample k + 1 in time t[k + 1] - t[k]."""
+    orb = find_orbit(model, E)
+    t = np.append(orb.t, orb.period)
+    for k in range(0, orb.n_samples, orb.n_samples // 16):
+        x, xi, status = bswkb.flow.advance(orb.pack, orb.x[k], orb.xi[k], t[k], t[k + 1],
+                                           rtol=1e-14, atol=1e-14)
+        k1 = (k + 1) % orb.n_samples
+        assert status == bswkb.flow.STATUS_OK
+        assert abs(x - orb.x[k1]) + abs(xi - orb.xi[k1]) < 1e-13
+    assert t[0] == 0.0 and np.all(np.diff(t) > 0.0)

@@ -6,8 +6,8 @@ import pytest
 
 from bswkb.actions import DEFAULT_CALIBRATION, SignCalibration
 from bswkb.quantize import (BSSolver, CalibrationError, QuantizeError,
-                            bs_function, calibrate_signs, gram_determinant,
-                            quantize, spectrum)
+                            SpectrumEntry, bs_function, calibrate_signs,
+                            gram_determinant, quantize, spectrum)
 from bswkb.symbols import make_model
 
 HARMONIC = make_model("harmonic")
@@ -146,8 +146,44 @@ def test_order2_S_integrates_one_orbit(monkeypatch):
 
 def test_quantize_level_outside_well():
     m = make_model("morse", params={"A": 0.25, "a": 1.0})  # shallow well
-    with pytest.raises(QuantizeError):
+    with pytest.raises(QuantizeError, match=r"level n = 40, target 2 pi h \(n \+ 1/2\) = "
+                       r"25.44690049: level outside the well, S\(E\) failed at E = "):
         quantize(m, 0.1, 40, order=0)
+
+
+@pytest.mark.parametrize("S, message", [
+    (lambda E: 10.0, r"level n = 1, target .* = 0.9424777961: target below the well, "
+                     r"S = 10 at E = "),
+    (lambda E: 0.0, r"level n = 1, target .*: failed to bracket the quantization "
+                    r"target, S = 0 at E = "),
+    (lambda E: 2.0 * (E > 0.5), r"level n = 1, target .*: root polish stalled, "
+                                r"residual 9.42e-01 at E = 0.5"),
+])
+def test_quantize_error_names_level_target_and_energies(monkeypatch, S, message):
+    monkeypatch.setattr(BSSolver, "S", lambda self, E: S(E))
+    with pytest.raises(QuantizeError, match=message):
+        BSSolver(HARMONIC, 0.1, 0).quantize(1)
+
+
+def test_spectrum_error_names_the_levels(monkeypatch):
+    monkeypatch.setattr(BSSolver, "quantize",
+                        lambda self, n: SpectrumEntry(n=n, E=1.0, bs_residual=0.0, bracket=()))
+    with pytest.raises(QuantizeError, match=r"energies not strictly increasing: level 0 "
+                       r"at E = 1, level 1 at E = 1"):
+        BSSolver(HARMONIC, 0.1, 0).spectrum(1)
+
+
+@pytest.mark.parametrize("p0", [
+    [[1, 0, 2], [1, 2, 0], [-4, 1, 0], [4, 0, 0]],     # xi^2 + (x - 2)^2
+    [[1, 0, 2], [-2, 0, 1], [1, 0, 0], [1, 2, 0]],     # (xi - 1)^2 + x^2
+    [[1, 0, 2], [1, 2, 0], [-10, 1, 0], [25, 0, 0]],   # xi^2 + (x - 5)^2
+])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_shifted_harmonic_wells_exact(p0, order):
+    h = 0.1
+    solver = BSSolver(make_model("polynomial", p0=p0), h, order)
+    for n in range(4):
+        assert solver.quantize(n).E == pytest.approx(h * (2 * n + 1), abs=1e-12)
 
 
 def test_calibration_defaults_frozen():
