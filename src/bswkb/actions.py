@@ -82,8 +82,7 @@ def loop_integral_dt(orbit: Orbit, integrand, with_error: bool = False):
 
 def action_S0(orbit: Orbit) -> float:
     """Principal action: loop xi dx = loop xi * xdot dt (no turning singularity)."""
-    xdot = orbit.model.eval_partial_array(0, 0, 1, orbit.x, orbit.xi)
-    return float((orbit.xi * xdot) @ orbit.w)
+    return float((orbit.xi * orbit.p_xi) @ orbit.w)
 
 
 def gamma_density(model: SymbolModel, x, xi):
@@ -132,7 +131,7 @@ def loop_dE_dt(model: SymbolModel, orbit: Orbit, f, f_x, f_xi) -> float:
     level set p0 = E to p0 = E + dE in unit time (divergence theorem).
     """
     p = lambda i, j: model.eval_partial_array(0, i, j, orbit.x, orbit.xi)
-    px, pxi, pxx, pxxi, pxixi = p(1, 0), p(0, 1), p(2, 0), p(1, 1), p(0, 2)
+    px, pxi, pxx, pxxi, pxixi = orbit.p_x, orbit.p_xi, p(2, 0), p(1, 1), p(0, 2)
     g = px * px + pxi * pxi
     div_Y = (pxx + pxixi - 2.0 * (px * px * pxx + 2.0 * px * pxi * pxxi
                                   + pxi * pxi * pxixi) / g) / g
@@ -207,11 +206,9 @@ def stokes_check(model: SymbolModel, E: float, f_terms, g_terms,
     """
     def loop_form(e: float) -> float:
         orb = find_orbit(model, e, n_samples=n_samples)
-        xdot = model.eval_partial_array(0, 0, 1, orb.x, orb.xi)
-        xidot = -model.eval_partial_array(0, 1, 0, orb.x, orb.xi)
         fv = poly_terms_eval(f_terms, 0, 0, orb.x, orb.xi)
         gv = poly_terms_eval(g_terms, 0, 0, orb.x, orb.xi)
-        return float((fv * xdot + gv * xidot) @ orb.w)
+        return float((fv * orb.p_xi - gv * orb.p_x) @ orb.w)
 
     lhs = dE_derivative(loop_form, E, 1)
     orb = find_orbit(model, E, n_samples=n_samples)

@@ -130,27 +130,29 @@ def _lowest_eigs(band: np.ndarray, m: int, vectors: bool = False):
     res = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
     norm_inf = abs(A).sum(axis=1).max()
     if np.any(res > 1e-10 * norm_inf):
-        raise OracleError(f"inverse iteration residual {res.max():.2e}, ||A|| {norm_inf:.2e}")
+        raise OracleError(f"eigenvector residual |Av - lambda v| = {res.max():.2e} "
+                          f"> 1e-10 |A|_inf = {1e-10 * norm_inf:.2e}")
     return vals, vecs
 
 
 def _auto_domain(model: SymbolModel, E_top: float, h: float):
-    """Symmetric-ish box: turning points at E_top plus a forbidden margin
-    thick enough that the tunneling integral kills boundary mass."""
-    if model.eval(0, 0.0, 0.0) >= E_top:
-        raise OracleError(f"box sizing at E_top = {E_top:g}: p0(0, 0) >= E_top; "
-                          f"the box is built about x = 0 on the line xi = 0")
+    """Box about the well minimum (x*, xi*): the turning points of p0(., xi*)
+    at E_top plus a forbidden margin thick enough that the tunneling integral
+    kills boundary mass."""
+    x0, xi0, _ = model.well_minimum
+    p0 = lambda x: model.eval(0, x, xi0)
 
     def outer_root(side):
-        x = 1.0 * side
+        d = 1.0
         for _ in range(90):
-            if model.eval(0, x, 0.0) > E_top:
+            x = x0 + side * d
+            if p0(x) > E_top:
                 break
-            x *= 1.5
+            d *= 1.5
         else:
-            raise OracleError("potential does not confine at requested energy")
-        return brentq(lambda y: model.eval(0, y, 0.0) - E_top,
-                      min(0.0, x), max(0.0, x), xtol=1e-12)
+            raise OracleError(f"p0(x, {xi0:.6g}) <= E_top = {E_top:g} out to "
+                              f"x = {x:.3g}: the potential does not confine")
+        return brentq(lambda y: p0(y) - E_top, min(x0, x), max(x0, x), xtol=1e-12)
 
     x_r = outer_root(+1)
     x_l = outer_root(-1)
@@ -162,11 +164,12 @@ def _auto_domain(model: SymbolModel, E_top: float, h: float):
         x = x_edge
         acc = 0.0
         while acc < 24.0 * h and abs(x - x_edge) < 50.0 * width:
-            v = model.eval(0, x + side * 0.5 * step, 0.0) - E_top
+            v = p0(x + side * 0.5 * step) - E_top
             acc += np.sqrt(max(v, 0.0)) * step
             x += side * step
         if acc < 24.0 * h:
-            raise OracleError("cannot build a forbidden margin (well too shallow)")
+            raise OracleError(f"tunneling integral {acc / h:.3g} < 24 within "
+                              f"{50.0 * width:.3g} of x = {x_edge:.6g}: well too shallow")
         return x
 
     lo = widen(x_l, -1)
@@ -176,12 +179,12 @@ def _auto_domain(model: SymbolModel, E_top: float, h: float):
 
 
 def _auto_N(model: SymbolModel, E_top: float, h: float, domain) -> int:
-    # resolve the fastest oscillation: k_max dx <= 0.1
-    vmin = min(model.eval(0, x, 0.0) for x in np.linspace(domain[0], domain[1], 512))
+    # resolve the fastest oscillation, e^{i (xi* + k) x / h}: k_max dx <= 0.1
+    _, xi0, vmin = model.well_minimum
     # xi^2 coefficient (constant by construction)
     cs = _level_coefficients(model, 0)
     c2 = cs[2][0][0] if cs[2] else 1.0
-    k_max = np.sqrt(max(E_top - vmin, 1e-12) / c2) / h
+    k_max = (abs(xi0) + np.sqrt(max(E_top - vmin, 1e-12) / c2)) / h
     L = domain[1] - domain[0]
     N = int(np.ceil(k_max * L / 0.1))
     return int(np.clip(512 * int(np.ceil(N / 512)), 512, 2048))
@@ -201,32 +204,51 @@ def classical_energy_top(model: SymbolModel, h: float, m: int) -> float:
         if S >= target:
             return E
         step = (E - E_min) * 0.6
-        E = E + max(step, 0.05 * h)
-    raise OracleError("requested level count outside the well")
+        E, E_tried = E + max(step, 0.05 * h), E
+    raise OracleError(f"action S0 = {S:.6g} at E = {E_tried:g} still below the target "
+                      f"2 pi h (m + 3/2) = {target:.6g}: m levels do not fit in the well")
 
 
 def oracle_spectrum(model: SymbolModel, h: float, m: int, domain=None,
                     N: int | None = None) -> OracleSpectrum:
-    """Lowest m eigenvalues with N -> 2N Richardson refinement (4th order)."""
-    if domain is None or N is None:
-        E_top = classical_energy_top(model, h, m)
-        if domain is None:
-            domain = _auto_domain(model, E_top, h)
-        if N is None:
-            N = _auto_N(model, E_top, h, domain)
-    lo, hi = float(domain[0]), float(domain[1])
-    e_coarse = _lowest_eigs(_band(model, h, (lo, hi), N), m)
-    e_fine, vecs = _lowest_eigs(_band(model, h, (lo, hi), 2 * N), m, vectors=True)
+    """Lowest m eigenvalues with N -> 2N Richardson refinement (4th order).
+
+    An OracleError names the stage (box sizing, assembly, inverse iteration,
+    boundary check or refinement), h, m, N, the domain and what failed.
+    """
+    def where(stage):
+        box = "auto" if domain is None else f"({domain[0]:.6g}, {domain[1]:.6g})"
+        return f"oracle {stage} at h = {h:g}, m = {m}, N = {N or 'auto'}, domain = {box}"
+
+    stage = "box sizing"
+    try:
+        if domain is None or N is None:
+            E_top = classical_energy_top(model, h, m)
+            if domain is None:
+                domain = _auto_domain(model, E_top, h)
+            if N is None:
+                N = _auto_N(model, E_top, h, domain)
+        domain = float(domain[0]), float(domain[1])
+        stage = "assembly"
+        coarse, fine = _band(model, h, domain, N), _band(model, h, domain, 2 * N)
+        stage = "inverse iteration"
+        e_coarse = _lowest_eigs(coarse, m)
+        e_fine, vecs = _lowest_eigs(fine, m, vectors=True)
+    except OracleError as err:
+        raise OracleError(f"{where(stage)}: {err}") from None
     edge = max(8, int(0.05 * 2 * N))
     mass = (np.abs(vecs[:edge]) ** 2 + np.abs(vecs[-edge:]) ** 2).sum(axis=0)
     if np.any(mass > 1e-8):  # the vectors are unit vectors
-        raise OracleError("boundary-truncation check failed: enlarge domain")
+        raise OracleError(f"{where('boundary check')}: boundary-truncation check failed, "
+                          f"eigenvector mass {mass.max():.2e} > 1e-8 within {edge} nodes "
+                          f"of the box edges: enlarge domain")
     extrap = (16.0 * e_fine - e_coarse) / 15.0
     est = np.abs(e_fine - e_coarse) / 15.0
     bad = est > 1e-7 * np.maximum(1.0, np.abs(extrap))
     if np.any(bad):
         raise OracleError(
-            f"refinement estimate too large for levels {np.nonzero(bad)[0].tolist()}")
-    return OracleSpectrum(h=h, domain=(lo, hi), grid_size=N,
+            f"{where('refinement')}: estimate |E_2N - E_N| / 15 = {est[bad].max():.2e} "
+            f"> 1e-7 max(1, |E|) for levels {np.nonzero(bad)[0].tolist()}")
+    return OracleSpectrum(h=h, domain=domain, grid_size=N,
                           eigenvalues=extrap, error_estimates=est,
                           raw_coarse=e_coarse, raw_fine=e_fine)

@@ -11,7 +11,6 @@ import numpy as np
 from . import flow
 from .symbols import SymbolModel
 
-_RADIAL_SCAN = 32      # radii per ray in the bracket scan (star-shape check)
 _MAX_SAMPLES = 1 << 16
 
 
@@ -25,7 +24,8 @@ class Orbit:
     minimum in the flow's (clockwise) sense.
 
     Sample k carries the time weight w[k], so T = sum(w) and a loop integral
-    of f dt is sum(f w) (periodic trapezoid in the angle).  The sample times
+    of f dt is sum(f w) (periodic trapezoid in the angle), and grad p0 =
+    (p_x[k], p_xi[k]): the flow's velocity is (p_xi, -p_x).  The sample times
     t, the flow pack and the focal and Fourier-singular points are computed
     on first access and cached.
     """
@@ -34,6 +34,8 @@ class Orbit:
     x: np.ndarray
     xi: np.ndarray
     w: np.ndarray
+    p_x: np.ndarray
+    p_xi: np.ndarray
     period: float
     energy_drift: float
     model: SymbolModel = field(repr=False)
@@ -154,27 +156,27 @@ def _roots_along_orbit(orbit: Orbit, g) -> tuple:
 def _polar_samples(model: SymbolModel, E: float, n: int) -> Orbit:
     """The level set p0 = E on n rays from the well minimum, with every check."""
     x0, xi0, _ = model.well_minimum
-    theta = -2.0 * np.pi * np.arange(n) / n
-    ux, uxi = np.cos(theta), np.sin(theta)
     pa = model.eval_partial_array
-    f = lambda r: pa(0, 0, 0, x0 + r * ux, xi0 + r * uxi) - E
 
-    # R: a power of two with p0 > E at radius R on every ray, but not at R / 2
+    # R: a power of two with p0 > E at radius R on every ray, but not at R / 2;
+    # radii R and R / 2 are rows 31 and 15 of the polar scan at R
+    scan = lambda R: model.polar_scan(n, R)[2]
     R = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(64):
-            if np.all(f(R) > 0.0):
+            if np.all(scan(R)[31] > E):
                 break
             R *= 2.0
         else:
             raise OrbitError(f"find_orbit ray bracket at E = {E:g}: "
                              f"p0 < E at radius {R:.3g} (level set unbounded)")
-        while np.all(f(0.5 * R) > 0.0):
+        while np.all(scan(R)[15] > E):
             R *= 0.5
+    ux, uxi, grid = model.polar_scan(n, R)
 
     # scan each ray, bracket its first crossing, then safeguarded Newton
-    radii = R * np.arange(1, _RADIAL_SCAN + 1) / _RADIAL_SCAN
-    outside = np.vstack([np.zeros(n, dtype=bool), f(radii[:, None]) > 0.0])
+    radii = R * np.arange(1, 33) / 32
+    outside = np.vstack([np.zeros(n, dtype=bool), grid > E])
     crossings = np.count_nonzero(np.diff(outside, axis=0), axis=0)
     outside = outside[1:]
     j = np.argmax(outside, axis=0)
@@ -222,7 +224,7 @@ def _polar_samples(model: SymbolModel, E: float, n: int) -> Orbit:
             f"it up to {crossings.max()} times, min u.grad p0 = {radial.min():.3e}")
 
     w = (2.0 * np.pi / n) * r / radial
-    return Orbit(energy=E, x=xs, xi=xis, w=w, period=float(w.sum()),
+    return Orbit(energy=E, x=xs, xi=xis, w=w, p_x=px, p_xi=pxi, period=float(w.sum()),
                  energy_drift=drift, model=model)
 
 
@@ -246,7 +248,7 @@ def find_orbit(model: SymbolModel, E: float, n_samples: int = 2048) -> Orbit:
     while True:
         orbit = _polar_samples(model, E, n)
         w = orbit.w
-        s0 = orbit.xi * model.eval_partial_array(0, 0, 1, orbit.x, orbit.xi)
+        s0 = orbit.xi * orbit.p_xi
         pairs = ((orbit.period, 2.0 * w[::2].sum()), (s0 @ w, 2.0 * (s0[::2] @ w[::2])))
         if all(abs(full - half) <= 1e-12 * abs(full) for full, half in pairs):
             return orbit

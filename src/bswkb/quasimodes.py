@@ -74,9 +74,8 @@ class _BranchGeometry:
     def __init__(self, model: SymbolModel, orbit: Orbit):
         self.model = model
         self.orbit = orbit
-        pa = model.eval_partial_array
-        self.xdot = pa(0, 0, 1, orbit.x, orbit.xi)
-        self.xidot = -pa(0, 1, 0, orbit.x, orbit.xi)
+        self.xdot = orbit.p_xi
+        self.xidot = -orbit.p_x
         focal = sorted(orbit.focal_points, key=lambda p: p[1])
         self.t_left, self.x_left = focal[0][0], focal[0][1]
         self.t_right, self.x_right = focal[1][0], focal[1][1]
@@ -116,26 +115,23 @@ class _BranchGeometry:
         else:
             j_lo, j_hi = int(np.searchsorted(orb.t, self.t_left, side="left")), n - 1
         xs = orb.x[j_lo:j_hi + 1]
-        out = np.empty(np.asarray(x_vals).size)
-        for i, xv in enumerate(np.atleast_1d(x_vals)):
-            # locate the bracketing sample interval on the monotone branch
-            if branch < 0:
-                k = np.searchsorted(-xs, -xv)  # x decreasing
-            else:
-                k = np.searchsorted(xs, xv)    # x increasing
-            k = int(np.clip(k, 1, xs.size - 1)) + j_lo
-            t_lo, t_hi = self.t_edges[k - 1], self.t_edges[k]
-            for _ in range(80):
-                t_m = 0.5 * (t_lo + t_hi)
-                x_m, _ = self._hermite_state(t_m)
-                if (float(x_m) < xv) == (branch > 0):
-                    t_lo = t_m
-                else:
-                    t_hi = t_m
-                if t_hi - t_lo < 1e-15 * self.orbit.period:
-                    break
-            out[i] = 0.5 * (t_lo + t_hi)
-        return out
+        xv = np.atleast_1d(np.asarray(x_vals, dtype=float))
+        # bracketing sample interval on the monotone branch, then bisection of
+        # every point at once; `active` holds the points not yet converged
+        k = np.searchsorted(xs, xv) if branch > 0 else np.searchsorted(-xs, -xv)
+        k = np.clip(k, 1, xs.size - 1) + j_lo
+        t_lo, t_hi = self.t_edges[k - 1], self.t_edges[k]
+        active = np.arange(xv.size)
+        for _ in range(80):
+            t_m = 0.5 * (t_lo[active] + t_hi[active])
+            x_m, _ = self._hermite_state(t_m)
+            up = (x_m < xv[active]) == (branch > 0)
+            t_lo[active] = np.where(up, t_m, t_lo[active])
+            t_hi[active] = np.where(up, t_hi[active], t_m)
+            active = active[t_hi[active] - t_lo[active] >= 1e-15 * orb.period]
+            if active.size == 0:
+                break
+        return 0.5 * (t_lo + t_hi)
 
     def segment_integrals(self, t_a: float, t_b: float, n_panels: int = 8):
         """(int xi dx, int p1 dt) over [t_a, t_b] along the flow (composite

@@ -17,6 +17,8 @@ FAMILIES = ("polynomial", "harmonic", "quartic-well", "morse", "poschl-teller", 
 
 _EPS = np.finfo(float).eps
 
+_POLAR_SCAN_BYTES = 1 << 25  # polar scans kept per model: one at n = 65536
+
 # central stencils for derivative orders 1..4, second-order accurate
 _STENCILS = {
     0: ((0,), (1.0,)),
@@ -229,6 +231,38 @@ class SymbolModel:
             if np.hypot(*step) <= 1e-15 * (1.0 + np.hypot(*z)):
                 break
         return float(z[0]), float(z[1]), p
+
+    @cached_property
+    def _polar_scans(self) -> dict:
+        return {}
+
+    def polar_scan(self, n: int, R: float):
+        """(ux, uxi, grid): the n rays from the well minimum at angles
+        -2 pi k / n (clockwise; angle 0 points along +x) and p0 at radii
+        R i / 32, i = 1..32, on them (grid row i - 1).
+
+        Energy-independent, so kept per (n, R) for later orbits; the oldest
+        scans are dropped to hold the model's scans to 32 MB.
+        """
+        scans = self._polar_scans
+        scan = scans.get((n, R))
+        if scan is None:
+            x0, xi0, _ = self.well_minimum
+            theta = -2.0 * np.pi * np.arange(n) / n
+            ux, uxi = np.cos(theta), np.sin(theta)
+            radii = R * np.arange(1, 33) / 32
+            grid = self.eval_partial_array(0, 0, 0, x0 + radii[:, None] * ux,
+                                           xi0 + radii[:, None] * uxi)
+            scan = ux, uxi, grid
+            for a in scan:
+                a.flags.writeable = False
+            size = lambda s: sum(a.nbytes for a in s)
+            held = sum(size(s) for s in scans.values())
+            while scans and held + size(scan) > _POLAR_SCAN_BYTES:
+                held -= size(scans.pop(next(iter(scans))))
+            if size(scan) <= _POLAR_SCAN_BYTES:
+                scans[(n, R)] = scan
+        return scan
 
 
 class SwappedSymbol:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import bswkb.actions
+import bswkb.oracle
+import bswkb.orbits
 from bswkb.oracle import (OracleError, _band, _level_coefficients,
                           _lowest_eigs, _poly_on_grid, discretize,
                           oracle_spectrum)
@@ -185,11 +188,70 @@ def test_well_minimum():
     assert m.well_minimum is m.well_minimum
 
 
-def test_box_sizing_rejects_x_shifted_well():
-    """The box is still built about x = 0 on xi = 0: a shifted well fails cleanly."""
-    m = make_model("polynomial", p0=[[1, 0, 2], [1, 2, 0], [-4, 1, 0], [4, 0, 0]])
-    with pytest.raises(OracleError, match=r"box sizing at E_top = .*: p0\(0, 0\) >= E_top"):
-        oracle_spectrum(m, 0.1, 3)
+@pytest.mark.parametrize("p0", [
+    [[1, 0, 2], [1, 2, 0], [-4, 1, 0], [4, 0, 0]],
+    [[1, 0, 2], [-2, 0, 1], [1, 0, 0], [1, 2, 0]],
+    [[1, 0, 2], [1, 2, 0], [-10, 1, 0], [25, 0, 0]],
+], ids=["x-2", "xi-1", "x-5"])
+def test_box_about_the_well_minimum(p0):
+    """xi^2 + (x - 2)^2, (xi - 1)^2 + x^2, xi^2 + (x - 5)^2: the box is built
+    about (x*, xi*), so the spectrum is h (2n + 1) wherever the well sits."""
+    h = 0.1
+    spec = oracle_spectrum(make_model("polynomial", p0=p0), h, 4)
+    assert np.abs(spec.eigenvalues - h * (2 * np.arange(4) + 1)).max() <= 1e-9
+
+
+MORSE = make_model("morse", params={"A": 4.0, "a": 1.0})
+
+
+@pytest.mark.parametrize("E_top, h, message", [
+    (0.5, 0.1, r"p0\(x, 0\) <= E_top = 0.5 out to x = .*: the potential does not confine"),
+    (-1e-4, 0.5, r"tunneling integral 12 < 24 within .* of x = 11.2898: well too shallow"),
+])
+def test_box_sizing_error_names_stage(monkeypatch, E_top, h, message):
+    monkeypatch.setattr(bswkb.oracle, "classical_energy_top", lambda *args: E_top)
+    with pytest.raises(OracleError, match=rf"^oracle box sizing at h = {h:g}, m = 3, "
+                                          rf"N = auto, domain = auto: {message}$"):
+        oracle_spectrum(MORSE, h, 3)
+
+
+def test_energy_top_error_names_target(monkeypatch):
+    monkeypatch.setattr(bswkb.orbits, "find_orbit", lambda *args, **kwargs: None)
+    monkeypatch.setattr(bswkb.actions, "action_S0", lambda orbit: 1.0)
+    with pytest.raises(OracleError, match=r"^oracle box sizing at h = 0.1, m = 3, N = auto, "
+                                          r"domain = \(-3, 3\): action S0 = 1 at E = .* still "
+                                          r"below the target 2 pi h \(m \+ 3/2\) = 2.82743"):
+        oracle_spectrum(HARMONIC, 0.1, 3, domain=(-3.0, 3.0))
+
+
+def test_assembly_error_names_stage():
+    m = make_model("polynomial", p0=[[1.0, 0, 2], [0.5, 2, 2], [1.0, 2, 0]])
+    with pytest.raises(OracleError, match=r"^oracle assembly at h = 0.1, m = 3, N = 128, "
+                                          r"domain = \(-3, 3\): x-dependent"):
+        oracle_spectrum(m, 0.1, 3, domain=(-3.0, 3.0), N=128)
+
+
+def test_inverse_iteration_error_names_stage(monkeypatch):
+    """Without the solves, the start vector is no eigenvector: the residual check fires."""
+    monkeypatch.setattr(bswkb.oracle, "solve_banded", lambda lu, ab, b: b.copy())
+    with pytest.raises(OracleError, match=r"^oracle inverse iteration at h = 0.1, m = 3, "
+                                          r"N = 256, domain = \(-6, 6\): eigenvector residual "
+                                          r"\|Av - lambda v\| = .* > 1e-10 \|A\|_inf = "):
+        oracle_spectrum(HARMONIC, 0.1, 3, domain=(-6.0, 6.0), N=256)
+
+
+def test_boundary_error_names_stage():
+    with pytest.raises(OracleError, match=r"^oracle boundary check at h = 0.1, m = 4, N = 256, "
+                                          r"domain = \(-1.5, 1.5\): boundary-truncation check "
+                                          r"failed, eigenvector mass .* > 1e-8 within 25 nodes"):
+        oracle_spectrum(HARMONIC, 0.1, 4, domain=(-1.5, 1.5), N=256)
+
+
+def test_refinement_error_names_stage():
+    with pytest.raises(OracleError, match=r"^oracle refinement at h = 0.1, m = 4, N = 64, "
+                                          r"domain = \(-3, 3\): estimate \|E_2N - E_N\| / 15 = "
+                                          r".* > 1e-7 max\(1, \|E\|\) for levels \[0, 1, 2, 3\]$"):
+        oracle_spectrum(HARMONIC, 0.1, 4, domain=(-3.0, 3.0), N=64)
 
 
 def test_morse_oracle_vs_closed_form():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bswkb.flow
+import bswkb.symbols
 from bswkb.actions import action_S0
 from bswkb.orbits import OrbitError, find_orbit, integrate_flow
 from bswkb.symbols import make_model
@@ -178,3 +179,71 @@ def test_sample_times_follow_the_flow(model, E):
         assert status == bswkb.flow.STATUS_OK
         assert abs(x - orb.x[k1]) + abs(xi - orb.xi[k1]) < 1e-13
     assert t[0] == 0.0 and np.all(np.diff(t) > 0.0)
+
+
+# -- polar scans: energy-independent, kept per model and (n, R) ------------------
+
+CACHE_WELLS = [
+    (lambda: make_model("quartic-well"), (0.05, 0.5, 3.0, 30.0)),
+    (lambda: make_model("morse", params={"A": 4.0, "a": 1.0}), (-3.9, -2.0, -0.3)),
+    (lambda: make_model("poschl-teller", params={"A": 4.0, "a": 1.0}), (-3.9, -2.0, -0.3)),
+    (lambda: make_model("quartic-well", p0=[[0.3, 1, 1], [0.7, 0, 1]]), (0.2, 1.5, 5.0)),
+]
+
+
+@pytest.mark.parametrize("make, energies", CACHE_WELLS)
+def test_warm_scans_give_the_cold_orbit(make, energies):
+    """Orbits read from a model's kept scans equal those of a fresh model, bit for bit."""
+    warm = make()
+    for E in energies:
+        find_orbit(warm, E)
+    assert len({R for _, R in warm._polar_scans}) >= 3  # the energies span several R
+    for E in energies:
+        hot, cold = find_orbit(warm, E), find_orbit(make(), E)
+        for name in ("x", "xi", "w", "p_x", "p_xi"):
+            assert np.array_equal(getattr(hot, name), getattr(cold, name)), name
+
+
+@pytest.mark.parametrize("make, energies", CACHE_WELLS)
+def test_warm_orbit_evaluates_only_on_the_rays(make, energies, monkeypatch):
+    """On a warm (n, R) find_orbit evaluates p0 and its gradient at no more
+    than n points per call: the R search and the bracket scan read the kept scan."""
+    model = make()
+    sizes = []
+    evaluate = type(model).eval_partial_array
+
+    def counted(self, level, dx, dxi, x, xi):
+        out = evaluate(self, level, dx, dxi, x, xi)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(type(model), "eval_partial_array", counted)
+    find_orbit(model, energies[0])
+    assert max(sizes) == 32 * 2048  # a cold model computes its scans
+    for E in energies:
+        first = find_orbit(model, E)
+        sizes.clear()
+        warm = find_orbit(model, E)
+        assert max(sizes) <= warm.n_samples == first.n_samples
+        sizes.clear()
+
+
+@pytest.mark.parametrize("model, E_ok, E_bad, message", [
+    (make_model("polynomial", p0=[[1, 2, 0], [1, 0, 4], [-2, 0, 2]]), -0.5, 0.5,
+     "unsupported topology: 6 focal points"),
+    (BANANA, 0.01, 1.0, "find_orbit star-shape check at E = 1: .* rays cross it up to 3 times"),
+    (make_model("harmonic"), 1.0, -0.5, "not above the well minimum"),
+])
+def test_guards_raise_on_warm_scans(model, E_ok, E_bad, message):
+    find_orbit(model, E_ok)
+    for _ in range(2):  # the second time every scan it reads is kept
+        with pytest.raises(OrbitError, match=message):
+            find_orbit(model, E_bad)
+
+
+def test_scans_held_to_the_budget_at_the_largest_n():
+    model = make_model("quartic-well")
+    for E in (0.05, 0.5, 3.0):
+        assert find_orbit(model, E, n_samples=65536).n_samples == 65536
+    held = sum(a.nbytes for scan in model._polar_scans.values() for a in scan)
+    assert 0 < held <= bswkb.symbols._POLAR_SCAN_BYTES

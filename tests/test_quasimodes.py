@@ -5,8 +5,8 @@ import pytest
 
 from bswkb.oracle import _band, _lowest_eigs
 from bswkb.orbits import find_orbit
-from bswkb.quasimodes import (QuasimodeError, apply_operator, branch_xi,
-                              build_wkb, phase_S, residual_norm)
+from bswkb.quasimodes import (QuasimodeError, _BranchGeometry, apply_operator,
+                              branch_xi, build_wkb, phase_S, residual_norm)
 from bswkb.symbols import make_model
 
 HARMONIC = make_model("harmonic")
@@ -179,3 +179,42 @@ def test_unknown_amp_variant_raises(horb):
 def test_region_too_close_to_focal_raises(horb):
     with pytest.raises(QuasimodeError):
         build_wkb(HARMONIC, 1.0, 0.05, (-0.999, 0.999), orbit=horb)
+
+
+def _t_of_x_scalar(geo, x_vals, branch):
+    """Reference: the bisection one point at a time, scalar Hermite states."""
+    orb = geo.orbit
+    if branch < 0:
+        j_lo, j_hi = 0, int(np.searchsorted(orb.t, geo.t_left, side="right")) - 1
+    else:
+        j_lo, j_hi = int(np.searchsorted(orb.t, geo.t_left, side="left")), orb.n_samples - 1
+    xs = orb.x[j_lo:j_hi + 1]
+    out = np.empty(len(x_vals))
+    for i, xv in enumerate(x_vals):
+        k = np.searchsorted(-xs, -xv) if branch < 0 else np.searchsorted(xs, xv)
+        k = int(np.clip(k, 1, xs.size - 1)) + j_lo
+        t_lo, t_hi = geo.t_edges[k - 1], geo.t_edges[k]
+        for _ in range(80):
+            t_m = 0.5 * (t_lo + t_hi)
+            x_m, _ = geo._hermite_state(t_m)
+            if (float(x_m) < xv) == (branch > 0):
+                t_lo = t_m
+            else:
+                t_hi = t_m
+            if t_hi - t_lo < 1e-15 * orb.period:
+                break
+        out[i] = 0.5 * (t_lo + t_hi)
+    return out
+
+
+@pytest.mark.parametrize("model, E, region", [
+    (HARMONIC, 1.0, (-0.6, 0.6)),
+    (QUARTIC, 1.0, (-0.6, 0.6)),
+    (make_model("morse", params={"A": 4.0, "a": 1.0}), -2.0, (0.05, 0.75)),
+])
+def test_t_of_x_matches_scalar_bisection(model, E, region):
+    """All points bisected at once take each point's own midpoints."""
+    geo = _BranchGeometry(model, find_orbit(model, E))
+    x = np.linspace(*region, 301)
+    for branch in (+1, -1):
+        assert np.array_equal(geo.t_of_x(x, branch), _t_of_x_scalar(geo, x, branch))
